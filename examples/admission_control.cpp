@@ -4,8 +4,8 @@
 // be admitted without endangering deadlines already guaranteed.
 //
 // This example drives the real serving subsystem (src/svc/): an
-// svc::AdmissionSession holding the admitted set, backed by a shared
-// svc::VerdictCache keyed by the canonical taskset hash mixed with the
+// svc::AdmissionSession holding the admitted set, backed by an
+// svc::ShardCache keyed by the canonical taskset hash mixed with the
 // session engine's fingerprint. The admission criterion is the paper's
 // Section 6 recommendation — the default AnalysisRequest resolves the
 // dp/gn1/gn2 analyzers from the registry and admits if ANY accepts the
@@ -39,7 +39,7 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  svc::VerdictCache cache(4096);
+  svc::ShardCache cache(4096);
   svc::AdmissionSession session(fpga, &cache);
 
   std::uint64_t dp_only = 0;

@@ -97,7 +97,7 @@ struct AnalyzerConfig {
 
 /// One pluggable schedulability test. Implementations must be stateless and
 /// thread-safe: `run` is called concurrently on distinct tasksets by the
-/// batch pipeline and the sweep harness.
+/// serving tier's shard workers and the sweep harness.
 ///
 /// See README.md ("Writing a new Analyzer") for a worked example.
 class Analyzer {
@@ -263,7 +263,7 @@ struct AnalyzerStats {
 /// registry once, the scheduler capability filter is applied once, and the
 /// execution order (cheapest cost class first, id as tie-break) plus the
 /// configuration fingerprint are fixed at construction. `run` is then pure
-/// and thread-safe — one engine serves every worker of the batch pipeline.
+/// and thread-safe — one engine can serve every worker of a thread pool.
 class AnalysisEngine {
  public:
   /// Resolves `request` against `registry`. Throws UnknownAnalyzerError on
@@ -334,7 +334,7 @@ class AnalysisEngine {
   /// once at engine construction so run()/decide() pay one relaxed
   /// increment per verdict, never a registry lookup. Metrics are keyed by
   /// analyzer id, so every engine instance feeds the same counters (the
-  /// registry accumulates across batch waves and sessions). Verdict
+  /// registry accumulates across shard workers and sessions). Verdict
   /// classes: accept = kSchedulable; refuse = the analyzer declined the
   /// input model (diagnostics path only — the fast path cannot distinguish
   /// a refusal and counts it inconclusive); reject = kInconclusive with a

@@ -4,14 +4,7 @@
 #include <atomic>
 #include <exception>
 
-#if defined(__linux__)
-#include <pthread.h>
-#include <sched.h>
-#endif
-
 #include "common/contracts.hpp"
-#include "common/stopwatch.hpp"
-#include "obs/metrics.hpp"
 
 namespace reconf {
 
@@ -95,30 +88,11 @@ void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body,
   loop.rethrow_if_failed();
 }
 
-ThreadPool::ThreadPool(unsigned threads, bool pin_cores) {
+ThreadPool::ThreadPool(unsigned threads) {
   const unsigned n = effective_threads(threads);
   workers_.reserve(n);
-  pinned_cpus_.assign(n, -1);
   for (unsigned t = 0; t < n; ++t) {
     workers_.emplace_back([this] { worker_loop(); });
-#if defined(__linux__)
-    // Pinning from the constructor (on the native handle) instead of inside
-    // the worker keeps pinned_cpus_ a write-once value no stats() call can
-    // race with.
-    if (pin_cores) {
-      const unsigned cores = std::max(1u, std::thread::hardware_concurrency());
-      const int cpu = static_cast<int>(t % cores);
-      cpu_set_t set;
-      CPU_ZERO(&set);
-      CPU_SET(cpu, &set);
-      if (::pthread_setaffinity_np(workers_.back().native_handle(),
-                                   sizeof set, &set) == 0) {
-        pinned_cpus_[t] = cpu;
-      }
-    }
-#else
-    (void)pin_cores;
-#endif
   }
 }
 
@@ -136,8 +110,6 @@ void ThreadPool::enqueue(std::function<void()> job) {
     const std::lock_guard<std::mutex> lock(mutex_);
     RECONF_EXPECTS(!stopping_);
     queue_.push_back(std::move(job));
-    ++jobs_submitted_;
-    max_queue_depth_ = std::max(max_queue_depth_, queue_.size());
   }
   wake_.notify_one();
 }
@@ -152,34 +124,8 @@ void ThreadPool::worker_loop() {
       job = std::move(queue_.front());
       queue_.pop_front();
     }
-    // Busy-time accounting costs two clock reads per job (jobs are chunky:
-    // batch waves, parallel_for chunk helpers), skipped when the
-    // observability layer is off.
-    if (obs::enabled()) {
-      Stopwatch watch;
-      job();
-      busy_ns_.fetch_add(
-          static_cast<std::uint64_t>(watch.seconds() * 1e9),
-          std::memory_order_relaxed);
-    } else {
-      job();
-    }
-    jobs_executed_.fetch_add(1, std::memory_order_relaxed);
+    job();
   }
-}
-
-PoolStats ThreadPool::stats() const {
-  PoolStats out;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    out.jobs_submitted = jobs_submitted_;
-    out.queue_depth = queue_.size();
-    out.max_queue_depth = max_queue_depth_;
-  }
-  out.jobs_executed = jobs_executed_.load(std::memory_order_relaxed);
-  out.busy_ns = busy_ns_.load(std::memory_order_relaxed);
-  out.pinned_cpus = pinned_cpus_;
-  return out;
 }
 
 void ThreadPool::parallel_for(std::size_t n,

@@ -1,9 +1,7 @@
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
-#include <cstdint>
 #include <deque>
 #include <functional>
 #include <future>
@@ -15,28 +13,6 @@
 #include <vector>
 
 namespace reconf {
-
-/// Snapshot of one ThreadPool's work accounting (see ThreadPool::stats).
-struct PoolStats {
-  std::uint64_t jobs_submitted = 0;   ///< enqueue() calls so far
-  std::uint64_t jobs_executed = 0;    ///< jobs completed by workers
-  std::uint64_t busy_ns = 0;          ///< worker time inside jobs; only
-                                      ///< accumulated while obs::enabled()
-  std::size_t queue_depth = 0;        ///< jobs waiting right now
-  std::size_t max_queue_depth = 0;    ///< high-water mark since construction
-  /// CPU id each worker is pinned to, worker-index order; -1 = unpinned
-  /// (pinning off, non-Linux platform, or the affinity call failed).
-  std::vector<int> pinned_cpus;
-
-  /// Fraction of `threads` worker capacity spent inside jobs over
-  /// `elapsed_seconds` of wall time. Meaningful only when busy_ns was
-  /// accumulated (obs enabled for the whole window).
-  [[nodiscard]] double utilization(double elapsed_seconds,
-                                   unsigned threads) const noexcept {
-    const double capacity = elapsed_seconds * 1e9 * threads;
-    return capacity <= 0.0 ? 0.0 : static_cast<double>(busy_ns) / capacity;
-  }
-};
 
 /// Runs `body(i)` for every i in [0, n) using up to `threads` worker threads
 /// (0 selects the hardware concurrency). Iterations are distributed in
@@ -64,12 +40,8 @@ void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body,
 /// order, and results are identical for any pool size.
 class ThreadPool {
  public:
-  /// Starts `threads` workers (0 selects the hardware concurrency). With
-  /// `pin_cores`, worker t is pinned to core t mod cores via
-  /// pthread_setaffinity_np — a no-op (all workers report unpinned) off
-  /// Linux or when the affinity call fails; serving throughput work wants
-  /// the scheduler to stop migrating workers across cores mid-wave.
-  explicit ThreadPool(unsigned threads = 0, bool pin_cores = false);
+  /// Starts `threads` workers (0 selects the hardware concurrency).
+  explicit ThreadPool(unsigned threads = 0);
 
   /// Drains nothing: outstanding jobs are finished, queued jobs still run,
   /// then workers join.
@@ -104,26 +76,15 @@ class ThreadPool {
   void parallel_for(std::size_t n,
                     const std::function<void(std::size_t)>& body);
 
-  /// Work accounting since construction: submitted/executed job counts,
-  /// current and high-water queue depth, and (while obs::enabled()) the
-  /// summed wall time workers spent inside jobs — the utilization input.
-  /// A racy snapshot, safe to call concurrently with submits.
-  [[nodiscard]] PoolStats stats() const;
-
  private:
   void enqueue(std::function<void()> job);
   void worker_loop();
 
-  mutable std::mutex mutex_;
+  std::mutex mutex_;
   std::condition_variable wake_;
   std::deque<std::function<void()>> queue_;
   std::vector<std::thread> workers_;
   bool stopping_ = false;
-  std::vector<int> pinned_cpus_;       ///< written once in the constructor
-  std::uint64_t jobs_submitted_ = 0;   ///< guarded by mutex_
-  std::size_t max_queue_depth_ = 0;    ///< guarded by mutex_
-  std::atomic<std::uint64_t> jobs_executed_{0};
-  std::atomic<std::uint64_t> busy_ns_{0};
 };
 
 }  // namespace reconf

@@ -9,6 +9,7 @@
 #include <thread>
 #include <unordered_map>
 
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -87,8 +88,8 @@ struct WakePipe {
 
 /// A queued response waiting for its turn in the connection's emit order.
 /// Stats requests are materialized at emission time — the snapshot then
-/// reflects every request answered before it on that connection, matching
-/// the stdio frontend's "stats answered in stream position" semantics.
+/// reflects every request answered before it on that connection ("stats
+/// answered in stream position").
 struct PendingOut {
   bool is_stats = false;
   std::string text;  ///< formatted line, or the request id when is_stats
@@ -140,10 +141,12 @@ struct AsyncServer::Impl {
   std::vector<std::unique_ptr<svc::ShardCache>> caches;
   std::vector<std::atomic<int>> pinned;  ///< cpu id per shard, -1 = none
 
-  /// New fds accepted by io thread 0, handed to their owner thread.
+  /// New fds (accepted by io thread 0, or adopted), handed to their owner
+  /// thread.
   struct Inbox {
     std::mutex mutex;
     std::vector<int> fds;
+    bool closed = false;  ///< owner exited: hand-offs close the fd instead
   };
   std::vector<std::unique_ptr<Inbox>> inboxes;
 
@@ -160,6 +163,7 @@ struct AsyncServer::Impl {
 
   std::atomic<std::uint64_t> next_conn_id{kFirstConnId};
 
+  bool started = false;
   bool stopped_joined = false;
 
   // ----------------------------------------------------------- routing ----
@@ -288,8 +292,9 @@ struct AsyncServer::Impl {
   }
 
   /// Pins shard `shard`'s just-spawned worker to core shard % cores.
-  /// Called from start() on the thread's native handle, so pinned_cpus()
-  /// is accurate the moment start() returns (no race with worker startup).
+  /// Called from spawn() on the thread's native handle, so pinned_cpus()
+  /// is accurate the moment start() or adopt() returns (no race with
+  /// worker startup).
   void maybe_pin(std::uint32_t shard, std::thread& worker) {
 #if defined(__linux__)
     if (!config.pin_cores) return;
@@ -316,7 +321,7 @@ struct AsyncServer::Impl {
     WakePipe& wake = *wakes[io];
     poller.add(wake.fds[0], kWakeTag, /*want_read=*/true,
                /*want_write=*/false);
-    if (io == 0) {
+    if (io == 0 && listen_fd >= 0) {
       poller.add(listen_fd, kListenTag, /*want_read=*/true,
                  /*want_write=*/false);
     }
@@ -429,10 +434,9 @@ struct AsyncServer::Impl {
       if (stop.load(std::memory_order_acquire)) {
         if (!announced_stop) {
           announced_stop = true;
-          if (io == 0) poller.remove(listen_fd);
+          if (io == 0 && listen_fd >= 0) poller.remove(listen_fd);
           // Stop reading every connection: drain answers what was already
-          // parsed, nothing more (mirrors the stdio frontend dropping
-          // unread input on SIGINT).
+          // parsed, nothing more — unread input is dropped.
           for (auto& [id, conn] : conns) {
             if (!conn->read_closed && !conn->paused) {
               conn->paused = true;
@@ -464,9 +468,31 @@ struct AsyncServer::Impl {
       ::close(conn->fd);
     }
     poller.remove(wake.fds[0]);
+    // An fd adopted while this thread was leaving would never be served or
+    // closed, and its peer would wait for EOF forever.
+    const std::lock_guard<std::mutex> lock(inboxes[io]->mutex);
+    inboxes[io]->closed = true;
+    for (const int fd : inboxes[io]->fds) ::close(fd);
+    inboxes[io]->fds.clear();
   }
 
-  unsigned rr_next_ = 0;  ///< round-robin cursor; io thread 0 only
+  std::atomic<unsigned> rr_next{0};  ///< round-robin hand-off cursor
+
+  /// Queues `fd` on an io thread's inbox, round-robin, and returns that
+  /// thread's index; io thread 0 takes its share through the same inbox so
+  /// connection adoption has one code path. The caller wakes the target.
+  unsigned hand_off(int fd) {
+    connections.fetch_add(1, std::memory_order_relaxed);
+    const unsigned target =
+        rr_next.fetch_add(1, std::memory_order_relaxed) % io_count;
+    const std::lock_guard<std::mutex> lock(inboxes[target]->mutex);
+    if (inboxes[target]->closed) {
+      ::close(fd);  // stopped server: the peer sees EOF at once
+    } else {
+      inboxes[target]->fds.push_back(fd);
+    }
+    return target;
+  }
 
   void accept_new() {
     for (;;) {
@@ -485,14 +511,7 @@ struct AsyncServer::Impl {
         continue;
       }
       set_tcp_nodelay(fd);
-      connections.fetch_add(1, std::memory_order_relaxed);
-      // Round-robin handoff; io thread 0 takes its share through the same
-      // inbox so connection adoption has one code path.
-      const unsigned target = rr_next_++ % io_count;
-      {
-        const std::lock_guard<std::mutex> lock(inboxes[target]->mutex);
-        inboxes[target]->fds.push_back(fd);
-      }
+      const unsigned target = hand_off(fd);
       if (target != 0) wakes[target]->notify();
     }
   }
@@ -626,8 +645,8 @@ struct AsyncServer::Impl {
       return true;
     }
     if (config.shed_on_overload) {
-      // Same policy as the stdio frontend's bounded queue: drop the work,
-      // answer {"shed":"queue"} in stream order, keep reading.
+      // Shed: drop the work, answer {"shed":"queue"} in stream order, keep
+      // reading.
       sheds.fetch_add(1, std::memory_order_relaxed);
       shed_queue.inc();
       local_response(conn, msg.seq,
@@ -734,6 +753,29 @@ struct AsyncServer::Impl {
     conns.erase(it);
   }
 
+  bool open_wakes(std::string* error) {
+    for (auto& wake : wakes) {
+      if (!wake->open()) {
+        if (error != nullptr) *error = "cannot create wake pipe";
+        return false;
+      }
+    }
+    return true;
+  }
+
+  /// Shard workers first, then io threads: tooling that pins the server's
+  /// threads by ascending tid relies on this order.
+  void spawn() {
+    for (unsigned s = 0; s < shard_count; ++s) {
+      shard_threads.emplace_back([this, s] { shard_main(s); });
+      maybe_pin(s, shard_threads.back());
+    }
+    for (unsigned io = 0; io < io_count; ++io) {
+      io_threads.emplace_back([this, io] { io_main(io); });
+    }
+    started = true;
+  }
+
   void publish_stats() {
     std::vector<svc::CacheStats> stats;
     stats.reserve(caches.size());
@@ -803,25 +845,27 @@ AsyncServer::AsyncServer(ServerConfig config)
 AsyncServer::~AsyncServer() { stop(); }
 
 bool AsyncServer::start(std::string* error) {
-  for (auto& wake : impl_->wakes) {
-    if (!wake->open()) {
-      if (error != nullptr) *error = "cannot create wake pipe";
-      return false;
-    }
-  }
+  RECONF_EXPECTS(!impl_->started);
+  if (!impl_->open_wakes(error)) return false;
   std::uint16_t bound = 0;
   impl_->listen_fd =
       listen_tcp(impl_->config.host, impl_->config.port, &bound, error);
   if (impl_->listen_fd < 0) return false;
   port_ = bound;
+  impl_->spawn();
+  return true;
+}
 
-  for (unsigned s = 0; s < impl_->shard_count; ++s) {
-    impl_->shard_threads.emplace_back([this, s] { impl_->shard_main(s); });
-    impl_->maybe_pin(s, impl_->shard_threads.back());
+bool AsyncServer::adopt(int fd, std::string* error) {
+  if (!impl_->started) {
+    if (!impl_->open_wakes(error)) return false;
+    impl_->spawn();
   }
-  for (unsigned io = 0; io < impl_->io_count; ++io) {
-    impl_->io_threads.emplace_back([this, io] { impl_->io_main(io); });
+  if (!set_nonblocking(fd)) {
+    if (error != nullptr) *error = "cannot make the adopted fd nonblocking";
+    return false;
   }
+  impl_->wakes[impl_->hand_off(fd)]->notify();
   return true;
 }
 
@@ -915,6 +959,85 @@ bool AsyncServer::save_cache_snapshot(const std::string& path,
   shards.reserve(impl_->caches.size());
   for (const auto& cache : impl_->caches) shards.push_back(cache.get());
   return svc::save_shard_snapshot(shards, path, error);
+}
+
+namespace {
+
+/// Writes all of `data` to a blocking fd; false once the fd refuses.
+/// Sockets use send(MSG_NOSIGNAL): a server that drained and closed its end
+/// answers EPIPE instead of killing the process with SIGPIPE.
+bool write_fully(int fd, const char* data, std::size_t n, bool is_socket) {
+  while (n > 0) {
+    const ssize_t w = is_socket ? ::send(fd, data, n, MSG_NOSIGNAL)
+                                : ::write(fd, data, n);
+    if (w < 0 && errno == EINTR) continue;
+    if (w <= 0) return false;
+    data += w;
+    n -= static_cast<std::size_t>(w);
+  }
+  return true;
+}
+
+/// Copies `in_fd` into the server's socket until end of stream, a refused
+/// write, or a stop. The 50 ms poll bound is what lets a drain finish while
+/// `in_fd` stays open and silent: the loop never sits in read(2) on it.
+void feed_stream(const AsyncServer& server, const std::atomic<bool>& done,
+                 int in_fd, int sock) {
+  std::vector<char> buf(kReadChunk);
+  while (!done.load(std::memory_order_acquire) && !server.stopping()) {
+    pollfd p{in_fd, POLLIN, 0};
+    const int ready = ::poll(&p, 1, 50);
+    if (ready == 0 || (ready < 0 && errno == EINTR)) continue;
+    if (ready < 0) break;
+    const ssize_t n = ::read(in_fd, buf.data(), buf.size());
+    if (n < 0 && (errno == EINTR || errno == EAGAIN)) continue;
+    if (n <= 0) break;  // end of stream (or a read error: treated alike)
+    if (!write_fully(sock, buf.data(), static_cast<std::size_t>(n), true)) {
+      break;
+    }
+  }
+  ::shutdown(sock, SHUT_WR);  // the server sees end of stream
+}
+
+}  // namespace
+
+bool serve_stdio(AsyncServer& server, int in_fd, int out_fd,
+                 std::string* error) {
+  int pair[2];
+  if (::socketpair(AF_UNIX, SOCK_STREAM, 0, pair) != 0) {
+    if (error != nullptr) *error = std::strerror(errno);
+    return false;
+  }
+  if (!server.adopt(pair[0], error)) {
+    ::close(pair[0]);
+    ::close(pair[1]);
+    return false;
+  }
+  const int sock = pair[1];
+  std::atomic<bool> done{false};
+  std::thread feeder([&] { feed_stream(server, done, in_fd, sock); });
+
+  // Responses until the server closes its end: after the final answer at
+  // end of stream, or once a drain has flushed. A refused write to out_fd
+  // drains the server and discards the rest, so it never blocks on us.
+  bool out_ok = true;
+  std::vector<char> buf(kReadChunk);
+  for (;;) {
+    const ssize_t n = ::read(sock, buf.data(), buf.size());
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) break;
+    if (out_ok && !write_fully(out_fd, buf.data(),
+                               static_cast<std::size_t>(n), false)) {
+      out_ok = false;
+      if (error != nullptr) *error = "cannot write responses: " +
+                                     std::string(std::strerror(errno));
+      server.request_stop();
+    }
+  }
+  done.store(true, std::memory_order_release);
+  feeder.join();
+  ::close(sock);
+  return out_ok;
 }
 
 }  // namespace reconf::net

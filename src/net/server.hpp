@@ -8,11 +8,10 @@
 
 #include "svc/batch.hpp"
 #include "svc/shard_cache.hpp"
-#include "svc/verdict_cache.hpp"
 
 namespace reconf::net {
 
-/// Configuration of the async serving tier (reconf_serve --listen).
+/// Configuration of the async serving tier (reconf_serve, TCP and stdio).
 struct ServerConfig {
   std::string host = "127.0.0.1";
   std::uint16_t port = 0;     ///< 0 = ephemeral (tests); port() reports it
@@ -29,7 +28,7 @@ struct ServerConfig {
   svc::BatchOptions options;  ///< pipeline analysis configuration
 };
 
-/// Monotonic serving totals (mirrors the stdio frontend's --stats line).
+/// Monotonic serving totals (reconf_serve's --stats line).
 struct ServerTotals {
   std::uint64_t connections = 0;
   std::uint64_t served = 0;    ///< responses emitted (verdict/error/shed/stats)
@@ -63,9 +62,12 @@ struct ServerTotals {
 /// connection before writing — the wire contract (responses in request
 /// order) survives out-of-order shard completion. Stats requests are
 /// answered by the io thread at emission time, after everything ahead of
-/// them on their connection. Overload behavior, per-request deadlines,
-/// graceful drain, obs counters/spans and cache snapshots all match the
-/// stdio frontend.
+/// them on their connection.
+///
+/// Connections come from the listen socket (start()) or are handed in
+/// already open (adopt(); serve_stdio() serves stdin/stdout that way).
+/// Either kind takes the same inbox, framing, shard rings, reassembly,
+/// overload policy, deadlines and drain.
 class AsyncServer {
  public:
   explicit AsyncServer(ServerConfig config);
@@ -75,15 +77,22 @@ class AsyncServer {
   AsyncServer& operator=(const AsyncServer&) = delete;
 
   /// Binds and spawns the io threads and shard workers. Returns false with
-  /// `error` set on bind failure.
+  /// `error` set on bind failure. Call at most once, before any adopt().
   bool start(std::string* error);
+
+  /// Serves `fd`, an already-open stream socket, as one more connection;
+  /// the server owns it from here on (sets it nonblocking, closes it at
+  /// teardown). Without a prior start(), spawns the shard workers and io
+  /// threads and binds no port. Returns false with `error` set (and `fd`
+  /// still the caller's) when the fd or the wake pipes cannot be set up.
+  bool adopt(int fd, std::string* error);
 
   /// The bound port (after start(); useful with config.port = 0).
   [[nodiscard]] std::uint16_t port() const noexcept { return port_; }
 
   /// Requests a graceful drain: stop accepting and reading, answer
-  /// everything already parsed, flush, then stop. Async-signal-safe-ish
-  /// (one relaxed store); the actual teardown happens in stop().
+  /// everything already parsed, flush, then stop. Async-signal-safe (one
+  /// lock-free atomic store); the actual teardown happens in stop().
   void request_stop() noexcept;
 
   /// Blocks until the drain completes and every thread has joined. Safe to
@@ -123,5 +132,21 @@ class AsyncServer {
   std::unique_ptr<Impl> impl_;
   std::uint16_t port_ = 0;
 };
+
+/// Serves the NDJSON requests read from `in_fd` as one connection of
+/// `server`, writing the responses to `out_fd` — reconf_serve's stdio mode.
+/// Blocks until `in_fd` reaches end of stream and every response is
+/// written, or until server.request_stop() has drained the connection:
+/// reading stops, every request already parsed is answered, and the call
+/// returns without waiting for `in_fd` to close.
+///
+/// `in_fd` may be anything read(2) accepts — a pipe, a terminal, a regular
+/// file (which epoll refuses) — and neither fd is switched to nonblocking
+/// mode (fds 0 and 1 share their file description with the parent shell).
+/// The server adopts one end of a socketpair; two blocking copy loops
+/// bridge it to the given fds. Returns false with `error` set when the
+/// socketpair cannot be set up or `out_fd` stops accepting writes.
+bool serve_stdio(AsyncServer& server, int in_fd, int out_fd,
+                 std::string* error);
 
 }  // namespace reconf::net

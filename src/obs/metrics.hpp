@@ -12,7 +12,7 @@
 
 /// reconf::obs — dependency-free observability: a process-wide registry of
 /// named counters, gauges and fixed-bucket latency histograms, built so the
-/// serving hot path (AnalysisEngine::decide, the svc batch pipeline) pays
+/// serving hot path (AnalysisEngine::decide, svc::evaluate_with_engine) pays
 /// one relaxed atomic increment per event and nothing else.
 ///
 /// Concurrency model: writers never take a lock. Counters and histograms

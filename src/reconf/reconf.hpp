@@ -32,9 +32,10 @@
 //
 //   const auto run = sim::simulate(ts, fpga);           // validate by sim
 //
-// The svc/ layer (AdmissionSession, run_batch, NDJSON codec) serves engine
-// verdicts at scale behind a sharded LRU VerdictCache keyed by the
-// canonical taskset hash mixed with the engine fingerprint.
+// The svc/ layer (AdmissionSession, evaluate_with_engine, NDJSON codec)
+// serves engine verdicts behind per-shard LRU ShardCaches keyed by the
+// canonical taskset hash mixed with the engine fingerprint; the net/ layer
+// (net::AsyncServer, behind reconf_serve) serves them over TCP and stdio.
 //
 // The rt/ layer turns the analyzer into an online scheduler: rt::run_scenario
 // replays a timed arrival/departure/mode-change workload (rt/scenario.hpp)
@@ -74,7 +75,7 @@
 #include "svc/batch.hpp"
 #include "svc/codec.hpp"
 #include "svc/session.hpp"
-#include "svc/verdict_cache.hpp"
+#include "svc/shard_cache.hpp"
 #include "task/fixtures.hpp"
 #include "task/io.hpp"
 #include "task/task.hpp"

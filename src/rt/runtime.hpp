@@ -39,8 +39,9 @@ struct RuntimeConfig {
   /// Analyzer lineup for the admission gate. The default is the serving
   /// configuration (paper trio, SoA fast path, allocation-free decide()).
   analysis::AnalysisRequest admission = analysis::fast_any_request();
-  /// Optional shared verdict cache; not owned, may be nullptr.
-  svc::VerdictCache* cache = nullptr;
+  /// Optional verdict cache for the admission gate; not owned, may be
+  /// nullptr. Single-owner: the scenario's thread is its only user.
+  svc::ShardCache* cache = nullptr;
 
   bool record_trace = true;
   /// Attach a sim::InvariantChecker to every dispatch (area cap, EDF order,

@@ -1,9 +1,7 @@
 #include "svc/batch.hpp"
 
-#include <map>
 #include <utility>
 
-#include "analysis/composite.hpp"
 #include "analysis/hash.hpp"
 #include "common/stopwatch.hpp"
 #include "obs/metrics.hpp"
@@ -41,7 +39,7 @@ struct SvcMetrics {
 
 BatchVerdict evaluate_with_engine(const analysis::AnalysisEngine& engine,
                                   const BatchRequest& request,
-                                  VerdictStore* cache) {
+                                  ShardCache* cache) {
   const obs::Span request_span("svc.request", "svc");
   const SvcMetrics& metrics = SvcMetrics::get();
   const bool timed = obs::enabled();
@@ -113,67 +111,11 @@ BatchVerdict evaluate_with_engine(const analysis::AnalysisEngine& engine,
   return out;
 }
 
-namespace {
-
-/// Engine for a request that names its own tests: the pipeline request with
-/// the lineup overridden.
-analysis::AnalysisEngine engine_for(const BatchRequest& request,
-                                    const BatchOptions& options) {
-  analysis::AnalysisRequest custom = options.request;
-  custom.tests = request.tests;
-  return analysis::AnalysisEngine(std::move(custom));
-}
-
-}  // namespace
-
 std::uint64_t verdict_cache_key(const TaskSet& ts, Device device,
                                 const analysis::AnalysisEngine& engine)
     noexcept {
   return analysis::mix64(analysis::canonical_hash(ts, device) ^
                          engine.fingerprint());
-}
-
-std::uint64_t verdict_cache_key(const TaskSet& ts, Device device,
-                                const analysis::CompositeOptions& options,
-                                bool for_fkf) {
-  return analysis::mix64(analysis::canonical_hash(ts, device) ^
-                         analysis::options_fingerprint(options, for_fkf));
-}
-
-BatchVerdict evaluate_request(const BatchRequest& request, VerdictStore* cache,
-                              const BatchOptions& options) {
-  if (request.tests.empty()) {
-    return evaluate_with_engine(analysis::AnalysisEngine(options.request),
-                                request, cache);
-  }
-  return evaluate_with_engine(engine_for(request, options), request, cache);
-}
-
-std::vector<BatchVerdict> run_batch(std::span<const BatchRequest> requests,
-                                    VerdictStore* cache, ThreadPool& pool,
-                                    const BatchOptions& options) {
-  const obs::Span batch_span("svc.run_batch", "svc");
-  // One shared engine serves every default-lineup request in the batch;
-  // run() is thread-safe (stats cells are atomic). Custom lineups are
-  // resolved once per distinct `tests` vector, up front — workers never
-  // touch the registry mutex, and a stream where every line repeats the
-  // same override costs one engine, not N.
-  const analysis::AnalysisEngine shared(options.request);
-  std::map<std::vector<std::string>, analysis::AnalysisEngine> custom;
-  for (const BatchRequest& request : requests) {
-    if (!request.tests.empty() && !custom.contains(request.tests)) {
-      custom.emplace(request.tests, engine_for(request, options));
-    }
-  }
-
-  std::vector<BatchVerdict> results(requests.size());
-  pool.parallel_for(requests.size(), [&](std::size_t i) {
-    const BatchRequest& request = requests[i];
-    const analysis::AnalysisEngine& engine =
-        request.tests.empty() ? shared : custom.at(request.tests);
-    results[i] = evaluate_with_engine(engine, request, cache);
-  });
-  return results;
 }
 
 }  // namespace reconf::svc

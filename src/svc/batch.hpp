@@ -2,20 +2,18 @@
 
 #include <chrono>
 #include <cstdint>
-#include <span>
 #include <string>
 #include <vector>
 
 #include "analysis/engine.hpp"
 #include "analysis/options.hpp"
-#include "common/thread_pool.hpp"
 #include "common/types.hpp"
-#include "svc/verdict_cache.hpp"
+#include "svc/shard_cache.hpp"
 #include "task/taskset.hpp"
 
 namespace reconf::svc {
 
-/// One independent analysis request in a batch: decide schedulability of
+/// One independent analysis request: decide schedulability of
 /// `taskset` on `device`. `id` is an opaque caller tag echoed back in the
 /// response (the NDJSON frontend uses the request's "id" field).
 struct BatchRequest {
@@ -24,8 +22,9 @@ struct BatchRequest {
   Device device;
   /// Per-request analyzer lineup (registry ids, e.g. {"dp","gn2"}). Empty =
   /// the pipeline default (BatchOptions::request.tests). Unknown ids throw
-  /// analysis::UnknownAnalyzerError from the evaluation — the NDJSON codec
-  /// validates at parse time so malformed requests never reach the pool.
+  /// analysis::UnknownAnalyzerError from engine resolution — the NDJSON
+  /// codec validates at parse time so malformed requests never reach a
+  /// shard worker.
   std::vector<std::string> tests;
   /// True for a `{"id":...,"stats":true}` introspection request: no taskset
   /// to analyze; the frontend answers with a metrics snapshot (see
@@ -47,15 +46,13 @@ struct SubVerdict {
   double micros = 0.0;   ///< wall time of this analyzer, microseconds
 };
 
-/// Verdict for one BatchRequest, at the same index in the output vector.
+/// Verdict for one BatchRequest.
 ///
 /// Determinism contract: `accepted`, `accepted_by` and `hash` depend only on
 /// the request (the analysis is pure and the engine's execution order is
-/// fixed), so a batch produces bit-identical verdict vectors for any worker
-/// count. `cache_hit` and `sub` are diagnostics and are NOT deterministic —
-/// with duplicates in flight, which duplicate wins the race to insert (and
-/// therefore which response carries fresh sub-reports) depends on
-/// scheduling.
+/// fixed), so they are bit-identical for any shard count. `cache_hit` and
+/// `sub` are diagnostics: they depend on what the cache already held (a
+/// warm-restored snapshot, an earlier duplicate, a capacity eviction).
 struct BatchVerdict {
   std::string id;
   bool accepted = false;
@@ -109,7 +106,7 @@ struct BatchOptions {
   analysis::AnalysisRequest request = default_request();
 };
 
-/// The VerdictCache key for analyzing `ts` on `device` under `engine`:
+/// The verdict-cache key for analyzing `ts` on `device` under `engine`:
 /// canonical taskset hash mixed with the engine's configuration
 /// fingerprint (selected analyzer set + per-test options). Two callers with
 /// different lineups (e.g. {dp} vs {dp,gn1,gn2}, or an EDF-FkF filter) must
@@ -120,40 +117,15 @@ struct BatchOptions {
     const TaskSet& ts, Device device,
     const analysis::AnalysisEngine& engine) noexcept;
 
-/// Legacy-composite spelling of the same key (bridges pre-engine callers;
-/// equal to the engine overload for the equivalent request). Resolves a
-/// throwaway engine for the fingerprint — prefer the engine overload on
-/// hot paths.
-[[nodiscard]] std::uint64_t verdict_cache_key(
-    const TaskSet& ts, Device device,
-    const analysis::CompositeOptions& options, bool for_fkf);
-
-/// Evaluates every request, fanning out across `pool` and consulting/filling
-/// `cache` (nullptr to always analyze; any VerdictStore — the striped-lock
-/// VerdictCache for pool workers, a per-shard ShardCache in the async
-/// tier). Results are indexed by request — response order never depends on
-/// completion order. The shared engine for default-lineup requests is built
-/// once per batch.
-[[nodiscard]] std::vector<BatchVerdict> run_batch(
-    std::span<const BatchRequest> requests, VerdictStore* cache,
-    ThreadPool& pool, const BatchOptions& options = {});
-
-/// Single-request path sharing the cache logic of `run_batch` (used by the
-/// streaming frontend when batching is disabled, by the async tier's shard
-/// workers, and by run_batch itself).
-[[nodiscard]] BatchVerdict evaluate_request(const BatchRequest& request,
-                                            VerdictStore* cache,
-                                            const BatchOptions& options = {});
-
 /// Core evaluation against a caller-held engine: cache lookup keyed by
 /// (canonical taskset hash, engine fingerprint), analysis on miss. The
 /// request's `tests` field is NOT consulted — the caller already resolved
-/// the engine. This is the one verdict-producing path in the serving tier;
-/// every frontend (batch pipeline, async shard workers) funnels through it,
-/// which is what makes sharded-vs-striped verdict parity a structural
-/// property rather than a test-enforced one.
+/// the engine. `cache` may be nullptr (always analyze); it is the caller's
+/// single-owner partition. This is the one verdict-producing path of the
+/// serving tier: the shard workers of net::AsyncServer (TCP and stdio
+/// alike) funnel through it.
 [[nodiscard]] BatchVerdict evaluate_with_engine(
     const analysis::AnalysisEngine& engine, const BatchRequest& request,
-    VerdictStore* cache);
+    ShardCache* cache);
 
 }  // namespace reconf::svc

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstddef>
-#include <iosfwd>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -17,25 +16,16 @@ namespace reconf::svc {
 /// stream cannot grow server memory without bound.
 inline constexpr std::size_t kMaxRequestLine = 1u << 20;
 
-/// Result of read_bounded_line: a complete (or final, unterminated) line, a
-/// line that blew the cap (its first kMaxRequestLine bytes are kept so the
-/// id stays recoverable, the rest is discarded unbuffered), or end of
-/// stream with nothing read.
+/// Status of one framed line: a complete (or final, unterminated) line, or
+/// a line that blew the cap (its first kMaxRequestLine bytes are kept so
+/// the id stays recoverable, the rest is discarded unbuffered).
 enum class LineStatus {
   kLine,
   kOversized,
-  kEof,
 };
 
-/// Reads one '\n'-terminated line from `in` with bounded memory. A final
-/// line without a trailing newline is still returned as kLine — a client
-/// that exits after its last request must not have that request dropped.
-LineStatus read_bounded_line(std::istream& in, std::string& line,
-                             std::size_t max_len = kMaxRequestLine);
-
-/// Incremental NDJSON line framing over byte chunks — the socket-side
-/// sibling of read_bounded_line, with identical cap semantics: a line of
-/// exactly max_len bytes is still kLine; one byte more flips it to
+/// Incremental NDJSON line framing over byte chunks with bounded memory: a
+/// line of exactly max_len bytes is still kLine; one byte more flips it to
 /// kOversized, keeping the first max_len bytes (so the id stays
 /// recoverable) and discarding the rest of the line unbuffered. Memory is
 /// bounded by max_len regardless of what the peer sends.
@@ -109,7 +99,7 @@ class CodecError : public std::runtime_error {
 ///   tests    optional non-empty array of analyzer ids for this request
 ///            (resolved via analysis::AnalyzerRegistry; an unknown id is
 ///            rejected here, with the registered ids listed, so it never
-///            reaches the batch pipeline). Absent = the serving default.
+///            reaches a shard worker). Absent = the serving default.
 ///   stats    the literal true: an introspection request answered with a
 ///            live metrics snapshot (svc/stats_surface.hpp) instead of a
 ///            verdict. Excludes every field but "id"; "stats":false is

@@ -2,23 +2,16 @@
 
 #include <utility>
 
-#include "analysis/composite.hpp"
 #include "common/contracts.hpp"
 #include "svc/batch.hpp"
 
 namespace reconf::svc {
 
-AdmissionSession::AdmissionSession(Device device, VerdictCache* cache,
+AdmissionSession::AdmissionSession(Device device, ShardCache* cache,
                                    analysis::AnalysisRequest request)
     : device_(device), cache_(cache), engine_(std::move(request)) {
   RECONF_EXPECTS(device.valid());
 }
-
-AdmissionSession::AdmissionSession(Device device, VerdictCache* cache,
-                                   analysis::CompositeOptions options,
-                                   bool for_fkf)
-    : AdmissionSession(device, cache,
-                       analysis::request_from_composite(options, for_fkf)) {}
 
 AdmissionDecision AdmissionSession::try_admit(const Task& t) {
   ++stats_.attempts;

@@ -7,9 +7,8 @@
 #include <vector>
 
 #include "analysis/engine.hpp"
-#include "analysis/options.hpp"
 #include "common/types.hpp"
-#include "svc/verdict_cache.hpp"
+#include "svc/shard_cache.hpp"
 #include "task/task.hpp"
 #include "task/taskset.hpp"
 
@@ -49,7 +48,7 @@ struct SessionStats {
 /// endangering the deadlines already guaranteed.
 ///
 /// The session keeps the currently admitted set. `try_admit` evaluates the
-/// extended set, consulting an optional shared VerdictCache (keyed by
+/// extended set, consulting an optional ShardCache (keyed by
 /// `verdict_cache_key`, which covers both the taskset and this session's
 /// engine fingerprint — analyzer lineup + per-test options) before falling
 /// back to the engine; tasks can later `remove` (accelerator released),
@@ -57,22 +56,17 @@ struct SessionStats {
 /// cache hit.
 ///
 /// Not thread-safe: one session serves one admission stream. The cache may
-/// be shared across sessions/threads — it synchronizes internally, and the
-/// fingerprint in the key keeps sessions with different test lineups from
-/// ever sharing verdicts.
+/// be shared by several sessions on the same thread — a ShardCache has a
+/// single owner and does not synchronize — and the fingerprint in the key
+/// keeps sessions with different test lineups from ever sharing verdicts.
 class AdmissionSession {
  public:
   /// `cache` may be nullptr (every decision re-analyzes). The session keeps
   /// the pointer; the cache must outlive the session. `request` selects the
   /// analyzer lineup (default: the paper trio, run-all for full
   /// diagnostics); throws analysis::UnknownAnalyzerError on unknown ids.
-  explicit AdmissionSession(Device device, VerdictCache* cache = nullptr,
+  explicit AdmissionSession(Device device, ShardCache* cache = nullptr,
                             analysis::AnalysisRequest request = {});
-
-  /// Legacy-composite spelling: DP/GN1/GN2 by use_* flags plus the for_fkf
-  /// scheduler restriction (bridged via request_from_composite).
-  AdmissionSession(Device device, VerdictCache* cache,
-                   analysis::CompositeOptions options, bool for_fkf = false);
 
   /// Decides task `t` against the currently admitted set; on acceptance the
   /// task becomes part of the set.
@@ -92,7 +86,7 @@ class AdmissionSession {
   [[nodiscard]] TaskSet admitted_set() const { return TaskSet(admitted_); }
   [[nodiscard]] Device device() const noexcept { return device_; }
   [[nodiscard]] const SessionStats& stats() const noexcept { return stats_; }
-  [[nodiscard]] VerdictCache* cache() const noexcept { return cache_; }
+  [[nodiscard]] ShardCache* cache() const noexcept { return cache_; }
   /// The resolved analysis pipeline (execution order, fingerprint, stats).
   [[nodiscard]] const analysis::AnalysisEngine& engine() const noexcept {
     return engine_;
@@ -100,7 +94,7 @@ class AdmissionSession {
 
  private:
   Device device_;
-  VerdictCache* cache_ = nullptr;
+  ShardCache* cache_ = nullptr;
   analysis::AnalysisEngine engine_;
   std::vector<Task> admitted_;
   SessionStats stats_;

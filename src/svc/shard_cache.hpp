@@ -10,23 +10,54 @@
 #include <utility>
 #include <vector>
 
-#include "svc/verdict_cache.hpp"
-
 namespace reconf::svc {
 
-/// Single-owner, contention-free LRU verdict cache: the per-shard partition
-/// of the async serving tier. One shard worker owns one ShardCache
-/// exclusively; lookup/insert take no locks and touch no shared state, so
-/// the striped mutexes of VerdictCache disappear from the hot path
-/// entirely. Correctness of the partitioning is the router's job
-/// (svc/shard_route.hpp): every key is routed to exactly one shard, so two
-/// workers can never race on the same entry by construction.
+/// The cacheable part of an engine verdict: everything the admission path
+/// needs to answer a repeated request without re-running the tests. The full
+/// per-analyzer diagnostics are deliberately not cached — they are large,
+/// and a caller that wants them re-analyzes (see
+/// AdmissionSession::try_admit).
+struct CachedVerdict {
+  bool accepted = false;
+  /// Id of the first accepting analyzer ("dp"/"gn1"/…), empty on reject.
+  std::string accepted_by;
+};
+
+/// Monotonic counters for one shard, or aggregated over all shards
+/// (net::AsyncServer::cache_stats() vs shard_cache_stats()).
+struct CacheStats {
+  std::uint64_t hits = 0;
+  std::uint64_t misses = 0;
+  std::uint64_t insertions = 0;
+  std::uint64_t evictions = 0;
+  /// Resident entries at snapshot time (not monotonic).
+  std::size_t entries = 0;
+
+  [[nodiscard]] std::uint64_t lookups() const noexcept {
+    return hits + misses;
+  }
+
+  [[nodiscard]] double hit_rate() const noexcept {
+    const std::uint64_t total = hits + misses;
+    return total == 0 ? 0.0 : static_cast<double>(hits) /
+                                  static_cast<double>(total);
+  }
+};
+
+/// Single-owner, contention-free LRU verdict cache keyed by
+/// `svc::verdict_cache_key` values: the per-shard partition of the serving
+/// tier. One shard worker owns one ShardCache exclusively; lookup/insert
+/// take no locks and touch no shared state. Correctness of the partitioning
+/// is the router's job (svc/shard_route.hpp): every key is routed to
+/// exactly one shard, so two workers can never race on the same entry by
+/// construction. Outside the server (AdmissionSession, the runtime's
+/// admission gate) a ShardCache is likewise owned by one thread.
 ///
 /// The statistics counters are relaxed atomics — the only concession to
 /// other threads, letting the stats surface sample hit/miss/entry counts
 /// live without stopping the worker. A relaxed increment on a cache line
 /// nobody else writes costs the same as a plain add.
-class ShardCache : public VerdictStore {
+class ShardCache {
  public:
   explicit ShardCache(std::size_t capacity) : capacity_(capacity) {
     if (capacity_ > 0) index_.reserve(capacity_ * 2);
@@ -37,8 +68,7 @@ class ShardCache : public VerdictStore {
 
   /// Owner-thread only. Returns the cached verdict and refreshes its
   /// recency, or nullopt.
-  [[nodiscard]] std::optional<CachedVerdict> lookup(std::uint64_t key)
-      override {
+  [[nodiscard]] std::optional<CachedVerdict> lookup(std::uint64_t key) {
     const auto it = index_.find(key);
     if (it == index_.end()) {
       misses_.fetch_add(1, std::memory_order_relaxed);
@@ -51,7 +81,7 @@ class ShardCache : public VerdictStore {
 
   /// Owner-thread only. Inserts or refreshes `key`, evicting the least
   /// recently used entry when full. Capacity 0 disables the cache.
-  void insert(std::uint64_t key, CachedVerdict verdict) override {
+  void insert(std::uint64_t key, CachedVerdict verdict) {
     if (capacity_ == 0) return;
     const auto it = index_.find(key);
     if (it != index_.end()) {
@@ -104,13 +134,6 @@ class ShardCache : public VerdictStore {
     return out;
   }
 
-  /// Owner-thread only / quiesced.
-  void clear() {
-    lru_.clear();
-    index_.clear();
-    entries_.store(0, std::memory_order_relaxed);
-  }
-
  private:
   std::size_t capacity_ = 0;
   /// Front = most recently used; the map points into this list.
@@ -126,15 +149,26 @@ class ShardCache : public VerdictStore {
   std::atomic<std::size_t> entries_{0};
 };
 
-/// Snapshot glue for a fleet of per-shard caches (the async tier's
-/// `--cache-snapshot`). The on-disk format is VerdictCache's v1 snapshot —
-/// the two cache worlds share warm-restore files — and restore routes every
-/// key through svc::shard_for_key into the CURRENT shard count, so a
-/// snapshot taken at S shards restores correctly at S' shards instead of
-/// assuming the writer's topology. Entries are written interleaved across
-/// shards by LRU rank (a global-recency approximation), so a
-/// capacity-limited restore keeps the most recently used entries. All
-/// functions require the workers to be quiesced (startup / after drain).
+/// Crash-safe snapshot of a fleet of per-shard caches (reconf_serve
+/// `--cache-snapshot`): the cache contents, not the statistics, in a
+/// versioned text format written to `path`.tmp and atomically renamed over
+/// the target — a crash mid-write never corrupts a previous good snapshot.
+///
+///   reconf-verdict-cache v1
+///   count <N>
+///   <%016x key> <0|1 accepted> <accepted_by or "-">
+///
+/// The format is topology-free: entries carry no shard index, and are
+/// written interleaved across shards by LRU rank from the least-recent end
+/// (a global-recency approximation), so a capacity-limited restore keeps
+/// the most recently used entries. Restore routes every key through
+/// svc::shard_for_key into the CURRENT shard count, so a snapshot taken at
+/// S shards restores correctly at S' shards, and replays entries through
+/// insert() so capacity limits and statistics behave exactly as live
+/// traffic. A truncated or malformed file is refused — returning false
+/// with `error` set — rather than warming the caches with silently missing
+/// entries. All functions require the workers to be quiesced (startup /
+/// after drain).
 bool save_shard_snapshot(const std::vector<ShardCache*>& shards,
                          const std::string& path,
                          std::string* error = nullptr);

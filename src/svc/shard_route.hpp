@@ -5,9 +5,9 @@
 namespace reconf::svc {
 
 /// Consistent-hash routing of verdict-cache keys onto shard workers (jump
-/// consistent hash, Lamping & Veach 2014). Unlike `key % shards` or the
-/// low-bit masking inside VerdictCache, growing or shrinking the shard
-/// count remaps only ~1/shards of the key space — a cache snapshot taken
+/// consistent hash, Lamping & Veach 2014). Unlike `key % shards` or
+/// low-bit masking, growing or shrinking the shard count remaps only
+/// ~1/shards of the key space — a cache snapshot taken
 /// at S shards warm-restores into S' shards with most keys landing on the
 /// shard that would own them under live traffic, and a rolling topology
 /// change invalidates the minimum number of per-shard cache partitions.

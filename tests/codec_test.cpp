@@ -1,7 +1,9 @@
 // Tests for the NDJSON request/response codec of the admission service.
 
-#include <sstream>
+#include <algorithm>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -314,33 +316,50 @@ TEST(CodecHardening, TruncatedRequestsErrorPerKind) {
                svc::CodecError);
 }
 
-TEST(CodecHardening, ReadBoundedLineSplitsAndCaps) {
-  std::istringstream in("short\n\nlast-no-newline");
+TEST(CodecHardening, StreamFramerSplitsAndCaps) {
+  const std::string text = "short\n\nlast-no-newline";
+  svc::StreamFramer framer;
   std::string line;
-  EXPECT_EQ(svc::read_bounded_line(in, line), svc::LineStatus::kLine);
+  svc::LineStatus status;
+  framer.feed(text.data(), 3);  // tears the first line
+  EXPECT_FALSE(framer.next(line, status));
+  framer.feed(text.data() + 3, text.size() - 3);
+  ASSERT_TRUE(framer.next(line, status));
+  EXPECT_EQ(status, svc::LineStatus::kLine);
   EXPECT_EQ(line, "short");
-  EXPECT_EQ(svc::read_bounded_line(in, line), svc::LineStatus::kLine);
+  ASSERT_TRUE(framer.next(line, status));
+  EXPECT_EQ(status, svc::LineStatus::kLine);
   EXPECT_EQ(line, "");
+  EXPECT_FALSE(framer.next(line, status));
   // The final unterminated line is still a line — a stream ending without a
   // trailing newline must not lose its last request.
-  EXPECT_EQ(svc::read_bounded_line(in, line), svc::LineStatus::kLine);
+  ASSERT_TRUE(framer.finish(line, status));
+  EXPECT_EQ(status, svc::LineStatus::kLine);
   EXPECT_EQ(line, "last-no-newline");
-  EXPECT_EQ(svc::read_bounded_line(in, line), svc::LineStatus::kEof);
+  EXPECT_FALSE(framer.finish(line, status));
 }
 
-TEST(CodecHardening, ReadBoundedLineDrainsOversizedWithBoundedMemory) {
+TEST(CodecHardening, StreamFramerDrainsOversizedWithBoundedMemory) {
   std::string text(100, 'a');
   text += '\n';
   text += "after";
-  std::istringstream in(text);
-  std::string line;
   // Cap of 10: the kept prefix is exactly the cap, the rest of the line is
-  // drained, and the next read continues at the following line.
-  EXPECT_EQ(svc::read_bounded_line(in, line, 10), svc::LineStatus::kOversized);
-  EXPECT_EQ(line, std::string(10, 'a'));
-  EXPECT_EQ(svc::read_bounded_line(in, line, 10), svc::LineStatus::kLine);
+  // drained unbuffered, and framing continues at the following line.
+  svc::StreamFramer framer(10);
+  std::vector<std::pair<std::string, svc::LineStatus>> lines;
+  std::string line;
+  svc::LineStatus status;
+  for (std::size_t off = 0; off < text.size(); off += 7) {
+    framer.feed(text.data() + off, std::min<std::size_t>(7, text.size() - off));
+    while (framer.next(line, status)) lines.emplace_back(line, status);
+    EXPECT_LE(framer.buffered(), 10u) << "after " << off + 7 << " bytes";
+  }
+  ASSERT_EQ(lines.size(), 1u);
+  EXPECT_EQ(lines[0].second, svc::LineStatus::kOversized);
+  EXPECT_EQ(lines[0].first, std::string(10, 'a'));
+  ASSERT_TRUE(framer.finish(line, status));
+  EXPECT_EQ(status, svc::LineStatus::kLine);
   EXPECT_EQ(line, "after");
-  EXPECT_EQ(svc::read_bounded_line(in, line, 10), svc::LineStatus::kEof);
 }
 
 }  // namespace

@@ -1,33 +1,38 @@
 // Socket-level integration tests for the async serving tier (src/net/):
-// pipelined and fragmented NDJSON over real TCP connections, byte-compared
-// against a single-process replay through the same evaluate_with_engine
-// funnel; oversized/malformed line recovery; concurrent connections;
-// snapshot topology portability (save under one shard count, warm-restore
-// under another); core pinning; graceful EOF flush; and the poll(2)
-// fallback backend selected via RECONF_NET_POLL=1.
+// pipelined and fragmented NDJSON over real TCP connections and over the
+// stdio entry (pipe and regular-file input), byte-compared against a
+// single-process replay through the same evaluate_with_engine funnel;
+// oversized/malformed line recovery; concurrent connections; snapshot
+// topology portability (save under one shard count, warm-restore under
+// another); core pinning; graceful EOF flush; the stdio drain on stop with
+// stdin still open; and the poll(2) fallback backend selected via
+// RECONF_NET_POLL=1.
 
 #include <algorithm>
 #include <cctype>
+#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <future>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include <fcntl.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
 
 #include "analysis/composite.hpp"
-#include "common/thread_pool.hpp"
 #include "net/poller.hpp"
 #include "net/server.hpp"
 #include "svc/batch.hpp"
 #include "svc/codec.hpp"
-#include "svc/verdict_cache.hpp"
+#include "svc/shard_cache.hpp"
 
 namespace reconf {
 namespace {
@@ -104,11 +109,17 @@ std::string normalize_timing(std::string line) {
 /// Single-process replay of one request line through the exact funnel the
 /// shard workers use — default engine, or a custom one when the request
 /// names its own analyzer lineup — the reference output for byte
-/// comparison.
+/// comparison. A line over the codec cap is answered from its kept prefix.
 std::string replay_line(const std::string& line,
                         const svc::BatchOptions& options,
                         const analysis::AnalysisEngine& engine,
-                        svc::VerdictStore* cache) {
+                        svc::ShardCache* cache) {
+  if (line.size() > svc::kMaxRequestLine) {
+    return svc::format_error_line(
+        svc::recover_request_id(line.substr(0, svc::kMaxRequestLine)),
+        "bad request: line exceeds " +
+            std::to_string(svc::kMaxRequestLine) + " bytes");
+  }
   svc::BatchRequest request;
   try {
     request = svc::parse_request_line(line);
@@ -147,6 +158,24 @@ struct TempDir {
 
 // ------------------------------------------- replay parity over TCP ----
 
+/// Byte-compares `got`, timing-normalized, against the same lines replayed
+/// through the same funnel into one fresh cache. Duplicates of a key land
+/// on one shard worker in send order, so the hit/miss pattern matches the
+/// sequential replay exactly, whatever the shard count.
+void expect_replay_parity(const net::ServerConfig& config,
+                          const std::vector<std::string>& lines,
+                          const std::vector<std::string>& got) {
+  svc::ShardCache reference(config.cache_capacity);
+  const analysis::AnalysisEngine engine(config.options.request);
+  ASSERT_EQ(got.size(), lines.size());
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    EXPECT_EQ(normalize_timing(got[i]),
+              normalize_timing(
+                  replay_line(lines[i], config.options, engine, &reference)))
+        << "line " << i;
+  }
+}
+
 /// Sends `lines` over one connection in deliberately awkward fragments
 /// (split mid-line every `frag` bytes) and byte-compares the responses,
 /// timing-normalized, against the single-process replay.
@@ -171,19 +200,7 @@ void run_parity(const net::ServerConfig& config,
   ::close(fd);
   server.stop();
 
-  // Reference: same lines through the same funnel against a fresh striped
-  // cache. Duplicates of a key land on one shard worker in send order, so
-  // the hit/miss pattern matches the sequential replay exactly — this is
-  // the sharded-vs-striped cache parity check of the acceptance criteria.
-  svc::VerdictCache reference(config.cache_capacity);
-  const analysis::AnalysisEngine engine(config.options.request);
-  ASSERT_EQ(got.size(), lines.size());
-  for (std::size_t i = 0; i < lines.size(); ++i) {
-    EXPECT_EQ(normalize_timing(got[i]),
-              normalize_timing(
-                  replay_line(lines[i], config.options, engine, &reference)))
-        << "line " << i;
-  }
+  expect_replay_parity(config, lines, got);
 }
 
 std::vector<std::string> parity_workload() {
@@ -192,7 +209,7 @@ std::vector<std::string> parity_workload() {
     lines.push_back(request_line(g, "u" + std::to_string(g)));
   }
   // Duplicates — must come back "cache":"hit" from the owning shard,
-  // bit-identical to the striped cache's answer.
+  // bit-identical to the sequential replay's answer.
   lines.push_back(request_line(3, "dup-a"));
   lines.push_back(request_line(17, "dup-b"));
   lines.push_back(request_line(3, "dup-c"));
@@ -444,16 +461,6 @@ TEST(NetServer, SnapshotWarmRestoreAcrossShardCounts) {
     EXPECT_EQ(stats.hits, 30u);
     EXPECT_EQ(stats.misses, 0u);
   }
-
-  // The same v1 snapshot also warm-starts the striped stdio cache — the
-  // format is topology-free in both directions.
-  {
-    svc::VerdictCache striped(4096);
-    std::size_t restored = 0;
-    std::string error;
-    ASSERT_TRUE(striped.load_snapshot(snap, &restored, &error)) << error;
-    EXPECT_EQ(restored, 30u);
-  }
 }
 
 // ----------------------------------------------------------- pinning ----
@@ -478,21 +485,153 @@ TEST(NetServer, PinCoresReportsShardCpus) {
   server.stop();
 }
 
-TEST(ThreadPoolPinning, StatsReportPinnedCpus) {
-  ThreadPool pinned(2, /*pin_cores=*/true);
-  const PoolStats stats = pinned.stats();
-  ASSERT_EQ(stats.pinned_cpus.size(), 2u);
-#if defined(__linux__)
-  const int cores =
-      static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
-  EXPECT_EQ(stats.pinned_cpus[0], 0);
-  EXPECT_EQ(stats.pinned_cpus[1], 1 % cores);
-#else
-  EXPECT_EQ(stats.pinned_cpus[0], -1);
-#endif
+// -------------------------------------------------------- stdio entry ----
 
-  ThreadPool unpinned(2);
-  for (const int cpu : unpinned.stats().pinned_cpus) EXPECT_EQ(cpu, -1);
+/// The stdio workload: the TCP parity lines, an oversized line, and a final
+/// line without a trailing newline.
+std::vector<std::string> stdio_workload() {
+  std::vector<std::string> lines = parity_workload();
+  std::string huge = "{\"id\":\"toobig\",\"device\":100,\"tasks\":[";
+  huge.append(svc::kMaxRequestLine + 1024, ' ');
+  huge += "]}";
+  lines.push_back(std::move(huge));
+  lines.push_back(request_line(3, "last-no-newline"));
+  return lines;
+}
+
+std::string stdio_wire(const std::vector<std::string>& lines) {
+  std::string wire;
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    wire += lines[i];
+    if (i + 1 < lines.size()) wire += '\n';
+  }
+  return wire;
+}
+
+/// Serves `in_fd` through the stdio entry into a regular file and returns
+/// the response lines.
+std::vector<std::string> serve_stdio_lines(const net::ServerConfig& config,
+                                           int in_fd, const TempDir& dir) {
+  const std::string out_path = (dir.path / "responses.ndjson").string();
+  const int out_fd = ::open(out_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC,
+                            0644);
+  EXPECT_GE(out_fd, 0) << std::strerror(errno);
+  net::AsyncServer server(config);
+  std::string error;
+  EXPECT_TRUE(net::serve_stdio(server, in_fd, out_fd, &error)) << error;
+  server.stop();
+  ::close(out_fd);
+  EXPECT_EQ(server.totals().connections, 1u);
+
+  std::vector<std::string> lines;
+  std::ifstream in(out_path);
+  std::string line;
+  while (std::getline(in, line)) lines.push_back(line);
+  return lines;
+}
+
+TEST(NetServer, StdioPipeInputMatchesSingleProcessReplay) {
+  TempDir dir;
+  const std::vector<std::string> lines = stdio_workload();
+  const std::string wire = stdio_wire(lines);
+  for (const unsigned shards : {1u, 3u}) {
+    int pipe_fds[2];
+    ASSERT_EQ(::pipe(pipe_fds), 0);
+    std::thread writer([&] {
+      send_all(pipe_fds[1], wire);
+      ::close(pipe_fds[1]);
+    });
+    const net::ServerConfig config = test_config(shards);
+    const std::vector<std::string> got =
+        serve_stdio_lines(config, pipe_fds[0], dir);
+    writer.join();
+    ::close(pipe_fds[0]);
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    expect_replay_parity(config, lines, got);
+  }
+}
+
+TEST(NetServer, StdioRegularFileInputMatchesSingleProcessReplay) {
+  // A regular file is what `reconf_serve FILE` and `< FILE` hand over; epoll
+  // refuses it, so the entry must never register it with the poller.
+  TempDir dir;
+  const std::vector<std::string> lines = stdio_workload();
+  const std::string in_path = (dir.path / "requests.ndjson").string();
+  std::ofstream(in_path, std::ios::binary) << stdio_wire(lines);
+  for (const unsigned shards : {1u, 3u}) {
+    const int in_fd = ::open(in_path.c_str(), O_RDONLY);
+    ASSERT_GE(in_fd, 0) << std::strerror(errno);
+    const net::ServerConfig config = test_config(shards);
+    const std::vector<std::string> got =
+        serve_stdio_lines(config, in_fd, dir);
+    ::close(in_fd);
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    expect_replay_parity(config, lines, got);
+  }
+}
+
+TEST(NetServer, StdioStopDrainsWithoutWaitingForEof) {
+  int in[2];
+  int out[2];
+  ASSERT_EQ(::pipe(in), 0);
+  ASSERT_EQ(::pipe(out), 0);
+  // One request, and the write end stays open: stdin never reaches EOF.
+  send_all(in[1], request_line(4, "held") + "\n");
+
+  net::AsyncServer server(test_config(2));
+  std::future<bool> served = std::async(std::launch::async, [&] {
+    std::string error;
+    return net::serve_stdio(server, in[0], out[1], &error);
+  });
+  const std::vector<std::string> got = read_lines(out[0], 1);
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_NE(got[0].find("\"id\":\"held\""), std::string::npos) << got[0];
+  EXPECT_NE(got[0].find("\"verdict\":"), std::string::npos) << got[0];
+
+  server.request_stop();
+  const bool returned =
+      served.wait_for(std::chrono::seconds(1)) == std::future_status::ready;
+  if (!returned) ::close(in[1]);  // let a failing entry finish at EOF
+  EXPECT_TRUE(returned) << "stdio entry still blocked 1 s after the stop";
+  EXPECT_TRUE(served.get());
+  server.stop();
+  if (returned) ::close(in[1]);
+  for (const int fd : {in[0], out[0], out[1]}) ::close(fd);
+}
+
+TEST(NetServer, StdioOnAStoppedServerReturnsAtOnce) {
+  // A stop that lands before or while the stdio connection is adopted (a
+  // signal at startup) must still close it, never leave the entry waiting.
+  for (const bool joined : {false, true}) {
+    int in[2];
+    int out[2];
+    ASSERT_EQ(::pipe(in), 0);
+    ASSERT_EQ(::pipe(out), 0);
+    send_all(in[1], request_line(6, "late") + "\n");
+    net::AsyncServer server(test_config(2));
+    if (joined) {
+      std::string error;
+      ASSERT_TRUE(server.start(&error)) << error;
+      server.stop();
+    } else {
+      server.request_stop();
+    }
+    std::future<bool> served = std::async(std::launch::async, [&] {
+      std::string error;
+      return net::serve_stdio(server, in[0], out[1], &error);
+    });
+    const bool returned =
+        served.wait_for(std::chrono::seconds(1)) == std::future_status::ready;
+    if (!returned) ::close(in[1]);
+    EXPECT_TRUE(returned) << "joined=" << joined;
+    EXPECT_TRUE(served.get());
+    server.stop();
+    if (returned) ::close(in[1]);
+    ::close(out[1]);
+    EXPECT_TRUE(read_lines(out[0], 1).empty()) << "joined=" << joined;
+    ::close(in[0]);
+    ::close(out[0]);
+  }
 }
 
 }  // namespace

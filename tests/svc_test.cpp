@@ -1,6 +1,6 @@
 // Tests for the admission-control service subsystem: canonical hashing,
-// the sharded LRU verdict cache, the incremental AdmissionSession, and the
-// batch pipeline's determinism contract.
+// the per-shard LRU verdict cache and its snapshots, the incremental
+// AdmissionSession, and the evaluate_with_engine verdict path.
 
 #include <algorithm>
 #include <atomic>
@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -22,7 +23,8 @@
 #include "gen/generator.hpp"
 #include "svc/batch.hpp"
 #include "svc/session.hpp"
-#include "svc/verdict_cache.hpp"
+#include "svc/shard_cache.hpp"
+#include "svc/shard_route.hpp"
 #include "task/task.hpp"
 
 namespace reconf {
@@ -31,6 +33,22 @@ namespace {
 TaskSet table3_taskset() {
   return TaskSet({make_task(2.10, 5, 5, 7, "t1"), make_task(2.00, 7, 7, 7, "t2"),
                   make_task(3.00, 10, 10, 6, "t3")});
+}
+
+/// The engine a shard worker resolves for `request`: the pipeline request,
+/// with the lineup overridden when the request names its own tests.
+analysis::AnalysisEngine engine_for(const svc::BatchRequest& request,
+                                    const svc::BatchOptions& options = {}) {
+  analysis::AnalysisRequest resolved = options.request;
+  if (!request.tests.empty()) resolved.tests = request.tests;
+  return analysis::AnalysisEngine(std::move(resolved));
+}
+
+svc::BatchVerdict evaluate(const svc::BatchRequest& request,
+                           svc::ShardCache* cache,
+                           const svc::BatchOptions& options = {}) {
+  return svc::evaluate_with_engine(engine_for(request, options), request,
+                                   cache);
 }
 
 // ------------------------------------------------------------ hashing ----
@@ -97,8 +115,8 @@ TEST(CanonicalHash, DistinguishesDuplicateCounts) {
 
 // -------------------------------------------------------------- cache ----
 
-TEST(VerdictCache, MissThenHit) {
-  svc::VerdictCache cache(8, 1);
+TEST(ShardCache, MissThenHit) {
+  svc::ShardCache cache(8);
   EXPECT_FALSE(cache.lookup(42).has_value());
   cache.insert(42, {true, "DP"});
   const auto hit = cache.lookup(42);
@@ -111,11 +129,12 @@ TEST(VerdictCache, MissThenHit) {
   EXPECT_EQ(stats.misses, 1u);
   EXPECT_EQ(stats.insertions, 1u);
   EXPECT_EQ(stats.evictions, 0u);
+  EXPECT_EQ(stats.entries, 1u);
   EXPECT_DOUBLE_EQ(stats.hit_rate(), 0.5);
 }
 
-TEST(VerdictCache, EvictsLeastRecentlyUsed) {
-  svc::VerdictCache cache(2, 1);  // one shard => exact LRU
+TEST(ShardCache, EvictsLeastRecentlyUsed) {
+  svc::ShardCache cache(2);
   cache.insert(1, {true, "DP"});
   cache.insert(2, {false, ""});
   ASSERT_TRUE(cache.lookup(1).has_value());  // 1 is now most recent
@@ -128,8 +147,8 @@ TEST(VerdictCache, EvictsLeastRecentlyUsed) {
   EXPECT_EQ(cache.size(), 2u);
 }
 
-TEST(VerdictCache, ReinsertRefreshesInsteadOfDuplicating) {
-  svc::VerdictCache cache(2, 1);
+TEST(ShardCache, ReinsertRefreshesInsteadOfDuplicating) {
+  svc::ShardCache cache(2);
   cache.insert(1, {false, ""});
   cache.insert(1, {true, "GN1"});
   EXPECT_EQ(cache.size(), 1u);
@@ -139,50 +158,12 @@ TEST(VerdictCache, ReinsertRefreshesInsteadOfDuplicating) {
   EXPECT_EQ(hit->accepted_by, "GN1");
 }
 
-TEST(VerdictCache, ZeroCapacityDisablesCaching) {
-  svc::VerdictCache cache(0);
+TEST(ShardCache, ZeroCapacityDisablesCaching) {
+  svc::ShardCache cache(0);
   EXPECT_FALSE(cache.enabled());
   cache.insert(7, {true, "DP"});
   EXPECT_FALSE(cache.lookup(7).has_value());
   EXPECT_EQ(cache.size(), 0u);
-}
-
-TEST(VerdictCache, ShardCountNeverExceedsCapacity) {
-  svc::VerdictCache tiny(3, 16);
-  EXPECT_LE(tiny.shard_count(), 2u);
-  svc::VerdictCache wide(1024, 16);
-  EXPECT_EQ(wide.shard_count(), 16u);
-  svc::VerdictCache rounded(1024, 5);
-  EXPECT_EQ(rounded.shard_count(), 8u);
-}
-
-TEST(VerdictCache, ClearDropsEntriesKeepsStats) {
-  svc::VerdictCache cache(8);
-  cache.insert(1, {true, "DP"});
-  ASSERT_TRUE(cache.lookup(1).has_value());
-  cache.clear();
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_FALSE(cache.lookup(1).has_value());
-  EXPECT_EQ(cache.stats().insertions, 1u);
-}
-
-TEST(VerdictCache, ConcurrentMixedLoadStaysConsistent) {
-  svc::VerdictCache cache(128, 8);
-  parallel_for(
-      4096,
-      [&](std::size_t i) {
-        const auto key = derive_seed(99, i % 200);
-        if (auto hit = cache.lookup(key)) {
-          // Value must always be the one every writer stores for this key.
-          EXPECT_EQ(hit->accepted, key % 2 == 0);
-        } else {
-          cache.insert(key, {key % 2 == 0, key % 2 == 0 ? "DP" : ""});
-        }
-      },
-      8);
-  EXPECT_LE(cache.size(), 128u);
-  const auto stats = cache.stats();
-  EXPECT_EQ(stats.hits + stats.misses, 4096u);
 }
 
 // ------------------------------------------------------------ session ----
@@ -221,7 +202,7 @@ TEST(AdmissionSession, RejectionLeavesAdmittedSetUntouched) {
 
 TEST(AdmissionSession, RemoveThenReadmitHitsCache) {
   const Device dev{10};
-  svc::VerdictCache cache(64);
+  svc::ShardCache cache(64);
   svc::AdmissionSession session(dev, &cache);
 
   const Task t1 = make_task(2.10, 5, 5, 7, "t1");
@@ -259,9 +240,11 @@ TEST(AdmissionSession, SharedCacheIsolatesTestConfigurations) {
   // to a for_fkf session — GN1 is unsound for EDF-FkF. The cache key mixes
   // in the configuration fingerprint, so the for_fkf session re-analyzes.
   const Device dev{20};
-  svc::VerdictCache cache(64);
+  svc::ShardCache cache(64);
   svc::AdmissionSession nf(dev, &cache);
-  svc::AdmissionSession fkf(dev, &cache, {}, /*for_fkf=*/true);
+  analysis::AnalysisRequest fkf_request;
+  fkf_request.scheduler = analysis::Scheduler::kEdfFkF;
+  svc::AdmissionSession fkf(dev, &cache, fkf_request);
 
   const auto ts = table3_taskset();
   for (const Task& t : ts) {
@@ -286,25 +269,25 @@ TEST(BatchPipeline, CacheKeyCoversAnalysisOptions) {
   request.taskset = table3_taskset();
   request.device = Device{20};
 
-  svc::VerdictCache cache(64);
+  svc::ShardCache cache(64);
   svc::BatchOptions nf;
-  const auto first = svc::evaluate_request(request, &cache, nf);
+  const auto first = evaluate(request, &cache, nf);
   EXPECT_FALSE(first.cache_hit);
 
   svc::BatchOptions gn2_only;
   gn2_only.request.tests = {"gn2"};
-  const auto other = svc::evaluate_request(request, &cache, gn2_only);
+  const auto other = evaluate(request, &cache, gn2_only);
   EXPECT_FALSE(other.cache_hit) << "different analyzer set must miss";
   EXPECT_NE(other.hash, first.hash);
 
   svc::BatchOptions strict;
   strict.request.tests = {"gn2"};
   strict.request.config.gn2.non_strict_condition2 = true;
-  const auto tweaked = svc::evaluate_request(request, &cache, strict);
+  const auto tweaked = evaluate(request, &cache, strict);
   EXPECT_FALSE(tweaked.cache_hit) << "different per-test options must miss";
   EXPECT_NE(tweaked.hash, other.hash);
 
-  const auto repeat = svc::evaluate_request(request, &cache, nf);
+  const auto repeat = evaluate(request, &cache, nf);
   EXPECT_TRUE(repeat.cache_hit);
   EXPECT_EQ(repeat.accepted, first.accepted);
 }
@@ -319,11 +302,11 @@ TEST(BatchPipeline, PerRequestTestsOverrideThePipelineDefault) {
   dp_only.id = "dp";
   dp_only.tests = {"dp"};
 
-  svc::VerdictCache cache(64);
+  svc::ShardCache cache(64);
   svc::BatchOptions explain;
   explain.request = svc::BatchOptions::explain_request();
-  const auto a = svc::evaluate_request(full, &cache, explain);
-  const auto b = svc::evaluate_request(dp_only, &cache, explain);
+  const auto a = evaluate(full, &cache, explain);
+  const auto b = evaluate(dp_only, &cache, explain);
   EXPECT_NE(a.hash, b.hash)
       << "a {dp}-only verdict must never share a cache line with the trio";
   EXPECT_FALSE(b.cache_hit);
@@ -333,13 +316,13 @@ TEST(BatchPipeline, PerRequestTestsOverrideThePipelineDefault) {
   EXPECT_EQ(b.sub[0].test, "dp");
 
   // Same override again: cache hit on the {dp} line.
-  const auto c = svc::evaluate_request(dp_only, &cache, explain);
+  const auto c = evaluate(dp_only, &cache, explain);
   EXPECT_TRUE(c.cache_hit);
   EXPECT_EQ(c.accepted, b.accepted);
 
   // The fast-path default shares those cache lines: identical verdicts, so
   // a diagnostics-mode entry answers a fast-mode request and vice versa.
-  const auto d = svc::evaluate_request(dp_only, &cache, {});
+  const auto d = evaluate(dp_only, &cache);
   EXPECT_TRUE(d.cache_hit);
   EXPECT_EQ(d.hash, b.hash);
   EXPECT_EQ(d.accepted, b.accepted);
@@ -357,16 +340,9 @@ TEST(BatchPipeline, SelectionEmptiedByFilterYieldsErrorNotInconclusive) {
 
   svc::BatchOptions fkf;
   fkf.request.scheduler = analysis::Scheduler::kEdfFkF;
-  const auto verdict = svc::evaluate_request(request, nullptr, fkf);
+  const auto verdict = evaluate(request, nullptr, fkf);
   EXPECT_FALSE(verdict.error.empty());
   EXPECT_FALSE(verdict.accepted);
-
-  // Same via the batch path.
-  ThreadPool pool(2);
-  const auto batch = svc::run_batch(std::span(&request, 1), nullptr, pool,
-                                    fkf);
-  ASSERT_EQ(batch.size(), 1u);
-  EXPECT_FALSE(batch[0].error.empty());
 }
 
 TEST(BatchPipeline, ExplainModeCarriesSubReportsInExecutionOrder) {
@@ -377,7 +353,7 @@ TEST(BatchPipeline, ExplainModeCarriesSubReportsInExecutionOrder) {
 
   svc::BatchOptions explain;
   explain.request = svc::BatchOptions::explain_request();
-  const auto verdict = svc::evaluate_request(request, nullptr, explain);
+  const auto verdict = evaluate(request, nullptr, explain);
   ASSERT_EQ(verdict.sub.size(), 3u);
   EXPECT_EQ(verdict.sub[0].test, "dp");   // cheapest first
   EXPECT_EQ(verdict.sub[1].test, "gn1");
@@ -397,12 +373,12 @@ TEST(BatchPipeline, FastDefaultMatchesExplainVerdictsWithoutSubReports) {
   request.taskset = table3_taskset();
   request.device = Device{20};
 
-  const auto fast = svc::evaluate_request(request, nullptr, {});
+  const auto fast = evaluate(request, nullptr);
   EXPECT_TRUE(fast.sub.empty());
 
   svc::BatchOptions explain;
   explain.request = svc::BatchOptions::explain_request();
-  const auto full = svc::evaluate_request(request, nullptr, explain);
+  const auto full = evaluate(request, nullptr, explain);
   EXPECT_EQ(fast.accepted, full.accepted);
   EXPECT_EQ(fast.accepted_by, full.accepted_by);
   EXPECT_EQ(fast.hash, full.hash)
@@ -411,7 +387,7 @@ TEST(BatchPipeline, FastDefaultMatchesExplainVerdictsWithoutSubReports) {
 
 TEST(AdmissionSession, SharedCacheServesSecondSession) {
   const Device dev{10};
-  svc::VerdictCache cache(64);
+  svc::ShardCache cache(64);
   svc::AdmissionSession first(dev, &cache);
   const auto ts = table3_taskset();
   for (const Task& t : ts) first.try_admit(t);
@@ -423,44 +399,7 @@ TEST(AdmissionSession, SharedCacheServesSecondSession) {
   }
 }
 
-// ----------------------------------------------------- batch pipeline ----
-
-TEST(BatchPipeline, IdenticalResultsForOneAndManyThreads) {
-  std::vector<svc::BatchRequest> requests;
-  requests.reserve(96);
-  for (std::size_t i = 0; i < 96; ++i) {
-    gen::GenRequest req;
-    req.profile = gen::GenProfile::unconstrained(6);
-    req.seed = derive_seed(7, i % 3 == 0 ? i / 3 : 1000 + i);
-    auto ts = gen::generate(req);
-    ASSERT_TRUE(ts.has_value());
-    svc::BatchRequest r;
-    r.id = std::to_string(i);
-    r.taskset = std::move(*ts);
-    r.device = Device{100};
-    requests.push_back(std::move(r));
-  }
-
-  auto run_with_threads = [&](unsigned threads) {
-    svc::VerdictCache cache(1024);
-    ThreadPool pool(threads);
-    return svc::run_batch(requests, &cache, pool, {});
-  };
-
-  const auto serial = run_with_threads(1);
-  ASSERT_EQ(serial.size(), requests.size());
-  for (const unsigned threads : {2u, 8u}) {
-    const auto parallel = run_with_threads(threads);
-    ASSERT_EQ(parallel.size(), serial.size());
-    for (std::size_t i = 0; i < serial.size(); ++i) {
-      EXPECT_EQ(parallel[i].id, serial[i].id);
-      EXPECT_EQ(parallel[i].accepted, serial[i].accepted) << "request " << i;
-      EXPECT_EQ(parallel[i].accepted_by, serial[i].accepted_by)
-          << "request " << i;
-      EXPECT_EQ(parallel[i].hash, serial[i].hash) << "request " << i;
-    }
-  }
-}
+// ------------------------------------------------------- verdict path ----
 
 TEST(BatchPipeline, CacheDoesNotChangeVerdicts) {
   std::vector<svc::BatchRequest> requests;
@@ -477,20 +416,17 @@ TEST(BatchPipeline, CacheDoesNotChangeVerdicts) {
     requests.push_back(std::move(r));
   }
 
-  ThreadPool pool(4);
-  svc::VerdictCache cache(64);
-  const auto cached = svc::run_batch(requests, &cache, pool, {});
-  const auto uncached = svc::run_batch(requests, nullptr, pool, {});
-  ASSERT_EQ(cached.size(), uncached.size());
-  for (std::size_t i = 0; i < cached.size(); ++i) {
-    EXPECT_EQ(cached[i].accepted, uncached[i].accepted);
-    EXPECT_EQ(cached[i].accepted_by, uncached[i].accepted_by);
-    EXPECT_EQ(cached[i].hash, uncached[i].hash);
+  const analysis::AnalysisEngine engine(svc::BatchOptions::default_request());
+  svc::ShardCache cache(64);
+  for (const svc::BatchRequest& request : requests) {
+    const auto cached = svc::evaluate_with_engine(engine, request, &cache);
+    const auto uncached = svc::evaluate_with_engine(engine, request, nullptr);
+    EXPECT_EQ(cached.accepted, uncached.accepted) << request.id;
+    EXPECT_EQ(cached.accepted_by, uncached.accepted_by) << request.id;
+    EXPECT_EQ(cached.hash, uncached.hash) << request.id;
   }
-  // Duplicated tasksets must be visible as hits once warm.
-  const auto warm = svc::run_batch(requests, &cache, pool, {});
-  (void)warm;
-  EXPECT_GT(cache.stats().hits, 0u);
+  // Every taskset appears twice: the second copy is a hit.
+  EXPECT_EQ(cache.stats().hits, requests.size() / 2);
 }
 
 TEST(BatchPipeline, ExpiredDeadlineShedsInsteadOfAnalyzing) {
@@ -500,47 +436,75 @@ TEST(BatchPipeline, ExpiredDeadlineShedsInsteadOfAnalyzing) {
   request.device = Device{100};
   request.deadline =
       std::chrono::steady_clock::now() - std::chrono::milliseconds(1);
-  const svc::BatchVerdict verdict =
-      svc::evaluate_request(request, nullptr, {});
+  const svc::BatchVerdict verdict = evaluate(request, nullptr);
   EXPECT_EQ(verdict.shed, "deadline");
   EXPECT_TRUE(verdict.error.empty());
   EXPECT_FALSE(verdict.accepted);
 
   // No deadline (the default) analyzes as before.
   request.deadline = {};
-  EXPECT_TRUE(svc::evaluate_request(request, nullptr, {}).shed.empty());
+  EXPECT_TRUE(evaluate(request, nullptr).shed.empty());
 }
 
 // ----------------------------------------------------- cache snapshot ----
 
-TEST(VerdictCacheSnapshot, SaveRestoreRequeryIsBitIdentical) {
+/// `count` per-shard caches sharing `capacity`, as net::AsyncServer builds
+/// them, plus the pointer view the snapshot functions take.
+struct ShardFleet {
+  std::vector<std::unique_ptr<svc::ShardCache>> caches;
+  std::vector<svc::ShardCache*> view;
+
+  ShardFleet(std::size_t capacity, std::uint32_t count) {
+    for (std::uint32_t s = 0; s < count; ++s) {
+      caches.push_back(std::make_unique<svc::ShardCache>(capacity / count));
+      view.push_back(caches.back().get());
+    }
+  }
+
+  svc::ShardCache& owner(std::uint64_t key) {
+    return *caches[svc::shard_for_key(
+        key, static_cast<std::uint32_t>(caches.size()))];
+  }
+
+  [[nodiscard]] std::size_t size() const {
+    std::size_t n = 0;
+    for (const auto& cache : caches) n += cache->size();
+    return n;
+  }
+};
+
+TEST(ShardCacheSnapshot, SaveRestoreRequeryIsBitIdentical) {
   const std::string path =
       (std::filesystem::temp_directory_path() / "reconf_cache_snap_test.v1")
           .string();
-  svc::VerdictCache cache(64, 4);
+  ShardFleet fleet(64, 4);
   for (std::uint64_t k = 1; k <= 40; ++k) {
-    cache.insert(k * 0x9E3779B97F4A7C15ull,
-                 svc::CachedVerdict{k % 3 != 0, k % 2 == 0 ? "dp" : "gn2"});
+    const std::uint64_t key = k * 0x9E3779B97F4A7C15ull;
+    fleet.owner(key).insert(
+        key, svc::CachedVerdict{k % 3 != 0, k % 2 == 0 ? "dp" : "gn2"});
   }
   std::string error;
-  ASSERT_TRUE(cache.save_snapshot(path, &error)) << error;
+  ASSERT_TRUE(svc::save_shard_snapshot(fleet.view, path, &error)) << error;
 
-  svc::VerdictCache restored(64, 4);
+  ShardFleet restored(64, 4);
   std::size_t count = 0;
-  ASSERT_TRUE(restored.load_snapshot(path, &count, &error)) << error;
-  EXPECT_EQ(count, cache.size());
+  ASSERT_TRUE(svc::load_shard_snapshot(restored.view, path, &count, &error))
+      << error;
+  EXPECT_EQ(count, fleet.size());
   for (std::uint64_t k = 1; k <= 40; ++k) {
-    const auto a = cache.lookup(k * 0x9E3779B97F4A7C15ull);
-    const auto b = restored.lookup(k * 0x9E3779B97F4A7C15ull);
-    ASSERT_TRUE(a.has_value());
+    const std::uint64_t key = k * 0x9E3779B97F4A7C15ull;
+    const auto a = fleet.owner(key).lookup(key);
+    const auto b = restored.owner(key).lookup(key);
+    if (!a.has_value()) continue;  // evicted from its full shard before save
     ASSERT_TRUE(b.has_value()) << "entry " << k << " lost in restore";
     EXPECT_EQ(a->accepted, b->accepted);
     EXPECT_EQ(a->accepted_by, b->accepted_by);
   }
-  // Save the restored cache again: the snapshot is canonical, so the bytes
+  // Save the restored fleet again: the snapshot is canonical, so the bytes
   // must match the first file exactly.
   const std::string path2 = path + ".again";
-  ASSERT_TRUE(restored.save_snapshot(path2, &error)) << error;
+  ASSERT_TRUE(svc::save_shard_snapshot(restored.view, path2, &error))
+      << error;
   std::ifstream f1(path), f2(path2);
   std::stringstream s1, s2;
   s1 << f1.rdbuf();
@@ -550,13 +514,13 @@ TEST(VerdictCacheSnapshot, SaveRestoreRequeryIsBitIdentical) {
   std::filesystem::remove(path2);
 }
 
-TEST(VerdictCacheSnapshot, RefusesTruncatedAndMalformedFiles) {
+TEST(ShardCacheSnapshot, RefusesTruncatedAndMalformedFiles) {
   const auto dir = std::filesystem::temp_directory_path();
   const std::string good = (dir / "reconf_snap_good.v1").string();
-  svc::VerdictCache cache(32, 2);
-  cache.insert(0xABCDull, svc::CachedVerdict{true, "dp"});
-  cache.insert(0x1234ull, svc::CachedVerdict{false, ""});
-  ASSERT_TRUE(cache.save_snapshot(good));
+  ShardFleet fleet(32, 2);
+  fleet.owner(0xABCDull).insert(0xABCDull, svc::CachedVerdict{true, "dp"});
+  fleet.owner(0x1234ull).insert(0x1234ull, svc::CachedVerdict{false, ""});
+  ASSERT_TRUE(svc::save_shard_snapshot(fleet.view, good));
 
   // Truncate: drop the last line so `count` no longer matches.
   std::ifstream in(good);
@@ -567,17 +531,17 @@ TEST(VerdictCacheSnapshot, RefusesTruncatedAndMalformedFiles) {
   const std::string bad = (dir / "reconf_snap_bad.v1").string();
   std::ofstream(bad) << text;
 
-  svc::VerdictCache victim(32, 2);
+  ShardFleet victim(32, 2);
   std::string error;
-  EXPECT_FALSE(victim.load_snapshot(bad, nullptr, &error));
+  EXPECT_FALSE(svc::load_shard_snapshot(victim.view, bad, nullptr, &error));
   EXPECT_NE(error.find("truncated"), std::string::npos) << error;
 
   std::ofstream(bad) << "not a snapshot\n";
-  EXPECT_FALSE(victim.load_snapshot(bad, nullptr, &error));
+  EXPECT_FALSE(svc::load_shard_snapshot(victim.view, bad, nullptr, &error));
   std::ofstream(bad) << "reconf-verdict-cache v1\ncount 1\nzzzz 5 dp\n";
-  EXPECT_FALSE(victim.load_snapshot(bad, nullptr, &error));
-  EXPECT_FALSE(victim.load_snapshot((dir / "reconf_absent.v1").string(),
-                                    nullptr, &error));
+  EXPECT_FALSE(svc::load_shard_snapshot(victim.view, bad, nullptr, &error));
+  EXPECT_FALSE(svc::load_shard_snapshot(
+      victim.view, (dir / "reconf_absent.v1").string(), nullptr, &error));
   std::filesystem::remove(good);
   std::filesystem::remove(bad);
 }

@@ -1,5 +1,5 @@
 // bench_report — machine-readable perf baseline for the analysis kernels
-// and the svc batch pipeline. Self-timed (no google-benchmark dependency),
+// and the svc verdict path. Self-timed (no google-benchmark dependency),
 // so it runs everywhere the library builds, including the CI smoke job.
 //
 //   bench_report [--out=BENCH_perf.json] [--quick]
@@ -16,8 +16,9 @@
 //     N ∈ {4, 8, 16, 32, 64}, median of R repetitions;
 //   * the log2(t(64)/t(32)) complexity exponent per series — the fast GN2
 //     sweep must stay visibly below the reference's ~3;
-//   * svc batch throughput (req/s) at 0% and 90% duplicate rates with the
-//     fast serving default, single-threaded for machine comparability;
+//   * svc throughput (req/s) at 0% and 90% duplicate rates with the fast
+//     serving default: one evaluate_with_engine loop over one ShardCache,
+//     single-threaded for machine comparability;
 //   * latency percentiles (p50/p95/p99, nanoseconds) from the obs
 //     histograms: per-analyzer decide() latency in measured mode and the
 //     svc request latency over a mixed-duplicate stream. The ns/op and
@@ -43,7 +44,6 @@
 #include "analysis/gn2.hpp"
 #include "common/rng.hpp"
 #include "common/stopwatch.hpp"
-#include "common/thread_pool.hpp"
 #include "gen/generator.hpp"
 #include "obs/metrics.hpp"
 #include "svc/batch.hpp"
@@ -151,6 +151,20 @@ struct ServicePoint {
   double hit_rate = 0.0;
 };
 
+/// Answers every request of `stream` in order on the calling thread —
+/// single-threaded for machine-comparable numbers — and returns the wall
+/// seconds it took.
+double evaluate_stream(const std::vector<svc::BatchRequest>& stream,
+                       svc::ShardCache& cache) {
+  const analysis::AnalysisEngine engine(
+      svc::BatchOptions::default_request());
+  Stopwatch clock;
+  for (const svc::BatchRequest& request : stream) {
+    (void)svc::evaluate_with_engine(engine, request, &cache);
+  }
+  return clock.seconds();
+}
+
 std::vector<ServicePoint> run_service_bench(std::size_t requests) {
   // Mirrors bench_service's stream shape: a pool spread across the
   // schedulability cliff, duplicates drawn from a hot set.
@@ -185,12 +199,8 @@ std::vector<ServicePoint> run_service_bench(std::size_t requests) {
       stream.push_back(std::move(r));
     }
 
-    svc::VerdictCache cache(1 << 16);
-    ThreadPool workers(1);  // single-threaded: machine-comparable numbers
-    Stopwatch clock;
-    const auto verdicts = svc::run_batch(stream, &cache, workers, {});
-    const double seconds = clock.seconds();
-    RECONF_ASSERT(verdicts.size() == requests);
+    svc::ShardCache cache(1 << 16);
+    const double seconds = evaluate_stream(stream, cache);
     out.push_back({dup, static_cast<double>(requests) / seconds,
                    cache.stats().hit_rate()});
   }
@@ -256,10 +266,8 @@ std::vector<Percentiles> run_percentile_pass(std::size_t iters,
       stream.push_back(std::move(r));
     }
   }
-  svc::VerdictCache cache(1 << 16);
-  ThreadPool workers(1);
-  const auto verdicts = svc::run_batch(stream, &cache, workers, {});
-  RECONF_ASSERT(verdicts.size() == stream.size());
+  svc::ShardCache cache(1 << 16);
+  (void)evaluate_stream(stream, cache);
   out.push_back(
       snapshot_percentiles("svc_request", "reconf_svc_request_latency_ns"));
   return out;
