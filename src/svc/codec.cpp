@@ -1,10 +1,9 @@
 #include "svc/codec.hpp"
 
-#include <cctype>
-#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <limits>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -16,174 +15,326 @@ namespace reconf::svc {
 
 namespace {
 
-// The JSON value grammar lives in svc/json.hpp (shared with the oracle's
-// NDJSON repro reader); this file owns only the request/response schema.
-using JsonValue = json::Value;
-
 // ------------------------------------------------------------- request ----
 
-[[noreturn]] void bad_request(const std::string& what) {
-  throw CodecError("bad request: " + what);
-}
+using Kind = json::Value::Kind;
 
-long long require_positive_int(const JsonValue& v, const std::string& what) {
-  if (v.kind != JsonValue::Kind::kNumber || !v.integral) {
-    bad_request(what + " must be an integer");
+enum class IntCheck { kOk, kNotInteger, kNotPositive };
+
+/// Reads the next value as a positive integer into `out`; any other value
+/// is consumed and reported.
+IntCheck read_positive_int(json::Reader& r, long long& out) {
+  if (r.next_kind() != Kind::kNumber) {
+    r.skip_value();
+    return IntCheck::kNotInteger;
   }
-  if (v.integer <= 0) bad_request(what + " must be positive");
-  return v.integer;
+  const json::Number n = r.read_number();
+  if (!n.integral) return IntCheck::kNotInteger;
+  if (n.integer <= 0) return IntCheck::kNotPositive;
+  out = n.integer;
+  return IntCheck::kOk;
 }
 
-Task parse_task_object(const JsonValue& v, std::size_t index) {
-  const std::string where = "tasks[" + std::to_string(index) + "]";
-  if (v.kind != JsonValue::Kind::kObject) bad_request(where + " must be an object");
-  long long c = 0;
-  long long d = 0;
-  long long t = 0;
-  long long a = 0;
-  bool has_c = false;
-  bool has_d = false;
-  bool has_t = false;
-  bool has_a = false;
-  std::string name;
-  for (const auto& [key, val] : v.members) {
-    if (key == "c") {
-      c = require_positive_int(val, where + ".c");
-      has_c = true;
-    } else if (key == "d") {
-      d = require_positive_int(val, where + ".d");
-      has_d = true;
-    } else if (key == "t") {
-      t = require_positive_int(val, where + ".t");
-      has_t = true;
-    } else if (key == "a") {
-      a = require_positive_int(val, where + ".a");
-      has_a = true;
-    } else if (key == "name") {
-      if (val.kind != JsonValue::Kind::kString) {
-        bad_request(where + ".name must be a string");
+std::string int_error(std::string what, IntCheck check) {
+  return what + (check == IntCheck::kNotInteger ? " must be an integer"
+                                                : " must be positive");
+}
+
+/// The required task keys, in the order of their `seen` bits.
+constexpr std::string_view kTaskKeys = "cdta";
+
+/// Index of `key` in kTaskKeys, or -1.
+int task_key_slot(std::string_view key) noexcept {
+  if (key.size() != 1) return -1;
+  switch (key[0]) {
+    case 'c': return 0;
+    case 'd': return 1;
+    case 't': return 2;
+    case 'a': return 3;
+    default: return -1;
+  }
+}
+
+std::string task_where(std::size_t index) {
+  return "tasks[" + std::to_string(index) + "]";
+}
+
+/// One pass over a request line, straight into a BatchRequest. A schema
+/// error does not stop the scan: a JSON syntax error later in the line, or
+/// a bad id anywhere in it, outranks it. So each error is recorded where it
+/// is found and thrown once the line has been read, in this order:
+///   1. JSON syntax (no id),
+///   2. the type of the first "id" (no id),
+///   3. the first error of the member loop, in member order: "tests",
+///      "stats" and unknown keys,
+///   4. the stats, taskset, device and tasks checks, in that order, on the
+///      last "device", "tasks" and "taskset" members.
+/// Every other "id" is skipped; the last "tests" wins; within one task the
+/// last value of a duplicated key wins, but every one is checked in order.
+class RequestScan {
+ public:
+  explicit RequestScan(const std::string& line) : r_(line) {}
+
+  BatchRequest run() {
+    try {
+      if (r_.next_kind() != Kind::kObject) {
+        r_.skip_value();
+        r_.finish();
+        throw CodecError("bad request: request line must be a JSON object");
       }
-      name = val.text;
-    } else {
-      bad_request(where + " has unknown key '" + key + "'");
+      r_.open_object();
+      while (r_.next_member(key_)) read_member();
+      r_.finish();
+    } catch (const json::JsonError& e) {
+      throw CodecError(e.what());
     }
+    return checked();
   }
-  if (!has_c || !has_d || !has_t || !has_a) {
-    bad_request(where + " requires keys c, d, t, a");
-  }
-  try {
-    return io::make_task_checked(name.empty() ? "-" : name, c, d, t, a, where);
-  } catch (const std::exception& e) {
-    bad_request(e.what());
-  }
-}
 
-}  // namespace
-
-namespace {
-
-/// Validates a "tests" array: non-empty, strings only, every id registered.
-/// Unknown ids are rejected here — with the registered ids listed — so a
-/// typo'd lineup turns into a correlatable error response instead of an
-/// exception inside a shard worker.
-std::vector<std::string> parse_tests_array(const JsonValue& v) {
-  if (v.kind != JsonValue::Kind::kArray || v.items.empty()) {
-    bad_request("tests must be a non-empty array of analyzer ids");
+ private:
+  [[noreturn]] void fail(const std::string& what) const {
+    throw CodecError("bad request: " + what, out_.id);
   }
-  const auto& registry = analysis::AnalyzerRegistry::instance();
-  std::vector<std::string> out;
-  out.reserve(v.items.size());
-  for (std::size_t i = 0; i < v.items.size(); ++i) {
-    const JsonValue& item = v.items[i];
-    if (item.kind != JsonValue::Kind::kString) {
-      bad_request("tests[" + std::to_string(i) + "] must be a string");
-    }
-    if (registry.find(item.text) == nullptr) {
-      bad_request("unknown analyzer '" + item.text +
-                  "'; registered analyzers: " + registry.id_list());
-    }
-    out.push_back(item.text);
-  }
-  return out;
-}
 
-/// Body of parse_request_line once the id is known; split out so every
-/// validation failure can be rethrown with the id attached.
-BatchRequest parse_request_members(const JsonValue& doc, std::string id) {
-  BatchRequest out;
-  out.id = std::move(id);
-  const JsonValue* device = nullptr;
-  const JsonValue* tasks = nullptr;
-  const JsonValue* taskset_text = nullptr;
-  for (const auto& [key, val] : doc.members) {
-    if (key == "id") {
-      // already extracted
-    } else if (key == "device") {
-      device = &val;
-    } else if (key == "tasks") {
-      tasks = &val;
-    } else if (key == "taskset") {
-      taskset_text = &val;
-    } else if (key == "tests") {
-      out.tests = parse_tests_array(val);
-    } else if (key == "stats") {
+  void read_member() {
+    if (key_ == "id") {
+      read_id();
+    } else if (id_bad_ || !member_error_.empty()) {
+      r_.skip_value();  // the answer is decided; only the syntax is left
+    } else if (key_ == "device") {
+      read_device();
+    } else if (key_ == "tasks") {
+      read_tasks();
+    } else if (key_ == "taskset") {
+      has_taskset_ = true;
+      taskset_is_string_ = r_.next_kind() == Kind::kString;
+      if (taskset_is_string_) {
+        taskset_text_ = r_.read_string();
+      } else {
+        r_.skip_value();
+      }
+    } else if (key_ == "tests") {
+      read_tests();
+    } else if (key_ == "stats") {
       // Introspection request: only {"id":...,"stats":true} is valid.
       // stats:false is rejected rather than treated as a no-op analysis
       // request — the caller clearly meant something, and guessing which
       // half is the same trap as a typo'd task key.
-      if (val.kind != JsonValue::Kind::kBool || !val.boolean) {
-        bad_request("stats must be the literal true");
+      bool is_true = false;
+      if (r_.next_kind() == Kind::kBool) {
+        is_true = r_.read_bool();
+      } else {
+        r_.skip_value();
       }
-      out.stats = true;
+      if (is_true) {
+        out_.stats = true;
+      } else {
+        member_error_ = "stats must be the literal true";
+      }
     } else {
-      bad_request("unknown key '" + key + "'");
+      member_error_ = "unknown key '" + std::string(key_) + "'";
+      r_.skip_value();
     }
   }
 
-  if (out.stats) {
-    if (device != nullptr || tasks != nullptr || taskset_text != nullptr ||
-        !out.tests.empty()) {
-      bad_request("'stats' excludes 'tasks'/'device'/'taskset'/'tests'");
+  void read_id() {
+    if (has_id_) {
+      r_.skip_value();
+      return;
     }
-    return out;
+    has_id_ = true;
+    const Kind kind = r_.next_kind();
+    if (kind == Kind::kString) {
+      out_.id = r_.read_string();
+    } else if (kind == Kind::kNumber) {
+      const json::Number n = r_.read_number();
+      if (n.integral) {
+        out_.id = std::to_string(n.integer);
+      } else {
+        id_bad_ = true;
+      }
+    } else {
+      r_.skip_value();
+      id_bad_ = true;
+    }
   }
 
-  if (taskset_text != nullptr) {
-    if (tasks != nullptr || device != nullptr) {
-      bad_request("'taskset' excludes 'tasks'/'device'");
+  void read_device() {
+    has_device_ = true;
+    device_error_.clear();
+    long long width = 0;
+    const IntCheck check = read_positive_int(r_, width);
+    if (check != IntCheck::kOk) {
+      device_error_ = int_error("device", check);
+    } else if (width > std::numeric_limits<Area>::max()) {
+      device_error_ = "device width out of range";
+    } else {
+      out_.device = Device{static_cast<Area>(width)};
     }
-    if (taskset_text->kind != JsonValue::Kind::kString) {
-      bad_request("taskset must be a string in the task/io.hpp v1 format");
-    }
-    try {
-      io::ParsedTaskSet parsed = io::from_string(taskset_text->text);
-      out.taskset = std::move(parsed.taskset);
-      out.device = parsed.device;
-    } catch (const std::exception& e) {
-      bad_request(e.what());
-    }
-    return out;
   }
 
-  if (device == nullptr || tasks == nullptr) {
-    bad_request("requires either 'taskset' or both 'device' and 'tasks'");
+  void read_tasks() {
+    has_tasks_ = true;
+    tasks_.clear();
+    tasks_error_.clear();
+    if (r_.next_kind() != Kind::kArray) {
+      r_.skip_value();
+      tasks_error_ = "tasks must be an array";
+      return;
+    }
+    r_.open_array();
+    for (std::size_t i = 0; r_.next_item(); ++i) {
+      if (tasks_error_.empty()) {
+        read_task(i);
+      } else {
+        r_.skip_value();
+      }
+    }
   }
-  const long long width = require_positive_int(*device, "device");
-  if (width > std::numeric_limits<Area>::max()) {
-    bad_request("device width out of range");
+
+  void read_task(std::size_t index) {
+    if (r_.next_kind() != Kind::kObject) {
+      r_.skip_value();
+      tasks_error_ = task_where(index) + " must be an object";
+      return;
+    }
+    Task task;
+    long long cdta[4] = {};  // by kTaskKeys
+    unsigned seen = 0;       // one bit per kTaskKeys entry
+    r_.open_object();
+    while (r_.next_member(key_)) {
+      if (!tasks_error_.empty()) {
+        r_.skip_value();
+        continue;
+      }
+      const int slot = task_key_slot(key_);
+      if (slot >= 0) {
+        const IntCheck check = read_positive_int(r_, cdta[slot]);
+        if (check != IntCheck::kOk) {
+          tasks_error_ = int_error(
+              task_where(index) + "." + kTaskKeys[slot], check);
+        }
+        seen |= 1u << slot;
+      } else if (key_ == "name") {
+        if (r_.next_kind() == Kind::kString) {
+          // "-" is the v1 text format's "no name", here as there.
+          const std::string_view name = r_.read_string();
+          task.name.assign(name == "-" ? std::string_view{} : name);
+        } else {
+          r_.skip_value();
+          tasks_error_ = task_where(index) + ".name must be a string";
+        }
+      } else {
+        tasks_error_ =
+            task_where(index) + " has unknown key '" + std::string(key_) + "'";
+        r_.skip_value();
+      }
+    }
+    if (!tasks_error_.empty()) return;
+    if (seen != 0xFu) {
+      tasks_error_ = task_where(index) + " requires keys c, d, t, a";
+      return;
+    }
+    // The one io::make_task_checked rule the positivity checks leave open,
+    // in its wording.
+    if (cdta[3] > std::numeric_limits<Area>::max()) {
+      tasks_error_ = task_where(index) + ": area out of range";
+      return;
+    }
+    task.wcet = cdta[0];
+    task.deadline = cdta[1];
+    task.period = cdta[2];
+    task.area = static_cast<Area>(cdta[3]);
+    tasks_.push_back(std::move(task));
   }
-  out.device = Device{static_cast<Area>(width)};
-  if (tasks->kind != JsonValue::Kind::kArray) {
-    bad_request("tasks must be an array");
+
+  /// Validates a "tests" array: non-empty, strings only, every id
+  /// registered. Unknown ids are rejected here — with the registered ids
+  /// listed — so a typo'd lineup turns into a correlatable error response
+  /// instead of an exception inside a shard worker.
+  void read_tests() {
+    constexpr const char* kNotArray =
+        "tests must be a non-empty array of analyzer ids";
+    out_.tests.clear();
+    if (r_.next_kind() != Kind::kArray) {
+      r_.skip_value();
+      member_error_ = kNotArray;
+      return;
+    }
+    r_.open_array();
+    const auto& registry = analysis::AnalyzerRegistry::instance();
+    std::size_t i = 0;
+    for (; r_.next_item(); ++i) {
+      if (!member_error_.empty()) {
+        r_.skip_value();
+      } else if (r_.next_kind() != Kind::kString) {
+        r_.skip_value();
+        member_error_ = "tests[" + std::to_string(i) + "] must be a string";
+      } else {
+        std::string id(r_.read_string());
+        if (registry.find(id) == nullptr) {
+          member_error_ = "unknown analyzer '" + id +
+                          "'; registered analyzers: " + registry.id_list();
+        } else {
+          out_.tests.push_back(std::move(id));
+        }
+      }
+    }
+    if (i == 0) member_error_ = kNotArray;
   }
-  std::vector<Task> parsed;
-  parsed.reserve(tasks->items.size());
-  for (std::size_t i = 0; i < tasks->items.size(); ++i) {
-    parsed.push_back(parse_task_object(tasks->items[i], i));
+
+  /// Stages 2-4 of the ranking, once the whole line has been read.
+  BatchRequest checked() {
+    if (id_bad_) {
+      throw CodecError("bad request: id must be a string or integer");
+    }
+    if (!member_error_.empty()) fail(member_error_);
+    if (out_.stats) {
+      if (has_device_ || has_tasks_ || has_taskset_ || !out_.tests.empty()) {
+        fail("'stats' excludes 'tasks'/'device'/'taskset'/'tests'");
+      }
+      return std::move(out_);
+    }
+    if (has_taskset_) {
+      if (has_tasks_ || has_device_) {
+        fail("'taskset' excludes 'tasks'/'device'");
+      }
+      if (!taskset_is_string_) {
+        fail("taskset must be a string in the task/io.hpp v1 format");
+      }
+      try {
+        io::ParsedTaskSet parsed = io::from_string(taskset_text_);
+        out_.taskset = std::move(parsed.taskset);
+        out_.device = parsed.device;
+      } catch (const std::exception& e) {
+        fail(e.what());
+      }
+      return std::move(out_);
+    }
+    if (!has_device_ || !has_tasks_) {
+      fail("requires either 'taskset' or both 'device' and 'tasks'");
+    }
+    if (!device_error_.empty()) fail(device_error_);
+    if (!tasks_error_.empty()) fail(tasks_error_);
+    out_.taskset = TaskSet(std::move(tasks_));
+    return std::move(out_);
   }
-  out.taskset = TaskSet(std::move(parsed));
-  return out;
-}
+
+  json::Reader r_;
+  std::string_view key_;  ///< current member key, until the next read
+  BatchRequest out_;
+  bool has_id_ = false;
+  bool id_bad_ = false;
+  std::string member_error_;
+  bool has_device_ = false;
+  std::string device_error_;
+  bool has_tasks_ = false;
+  std::vector<Task> tasks_;
+  std::string tasks_error_;
+  bool has_taskset_ = false;
+  bool taskset_is_string_ = false;
+  std::string taskset_text_;
+};
 
 }  // namespace
 
@@ -278,36 +429,7 @@ BatchRequest parse_request_line(const std::string& line) {
     throw CodecError("bad request: line exceeds " +
                      std::to_string(kMaxRequestLine) + " bytes");
   }
-  JsonValue doc;
-  try {
-    doc = json::parse(line);
-  } catch (const json::JsonError& e) {
-    throw CodecError(e.what());
-  }
-  if (doc.kind != JsonValue::Kind::kObject) {
-    bad_request("request line must be a JSON object");
-  }
-
-  // Extract the id before any other validation, so every later failure can
-  // still be answered with a correlatable error response.
-  std::string id;
-  for (const auto& [key, val] : doc.members) {
-    if (key != "id") continue;
-    if (val.kind == JsonValue::Kind::kString) {
-      id = val.text;
-    } else if (val.kind == JsonValue::Kind::kNumber && val.integral) {
-      id = std::to_string(val.integer);
-    } else {
-      bad_request("id must be a string or integer");
-    }
-    break;
-  }
-
-  try {
-    return parse_request_members(doc, id);
-  } catch (const CodecError& e) {
-    throw CodecError(e.what(), id);
-  }
+  return RequestScan(line).run();
 }
 
 // ------------------------------------------------------------ response ----

@@ -107,7 +107,8 @@ class CodecError : public std::runtime_error {
 ///
 /// Unknown top-level or per-task keys are rejected — a typo'd "perid" must
 /// not silently analyze a default, for the same reason the analysis refuses
-/// unsound configurations instead of guessing.
+/// unsound configurations instead of guessing. The number, repeated-key and
+/// error-ranking rules are in README.md, "The NDJSON wire protocol".
 [[nodiscard]] BatchRequest parse_request_line(const std::string& line);
 
 /// Response line for one verdict:

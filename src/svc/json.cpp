@@ -1,243 +1,328 @@
 #include "svc/json.hpp"
 
-#include <cctype>
+#include <charconv>
 #include <cmath>
 
 namespace reconf::svc::json {
 
 namespace {
 
-/// Nesting cap: the recursive-descent parser would otherwise turn
-/// "[[[[..." into a stack overflow — a one-line denial of service against
-/// the serving tier. Far above anything the request schema needs.
+/// Nesting cap: a recursive consumer would otherwise turn "[[[[..." into a
+/// stack overflow — a one-line denial of service against the serving tier.
+/// Far above anything the request schema needs.
 constexpr int kMaxDepth = 64;
 
-class Parser {
- public:
-  explicit Parser(const std::string& src) : src_(src) {}
+bool is_digit(char c) noexcept { return c >= '0' && c <= '9'; }
 
-  Value parse_document() {
-    Value v = parse_value();
-    skip_ws();
-    if (pos_ != src_.size()) fail("trailing characters after JSON value");
-    return v;
+}  // namespace
+
+void Reader::fail(const char* what) const {
+  throw JsonError("json error at byte " + std::to_string(cur_ - begin_) +
+                  ": " + what);
+}
+
+void Reader::fail(const std::string& what) const { fail(what.c_str()); }
+
+void Reader::fail_expected(char c) const {
+  fail(std::string("expected '") + c + "'");
+}
+
+void Reader::skip_ws() noexcept {
+  while (cur_ != end_ &&
+         (*cur_ == ' ' || *cur_ == '\t' || *cur_ == '\n' || *cur_ == '\r')) {
+    ++cur_;
   }
+}
 
- private:
-  [[noreturn]] void fail(const std::string& what) const {
-    throw JsonError("json error at byte " + std::to_string(pos_) + ": " +
-                    what);
+char Reader::peek() {
+  skip_ws();
+  if (cur_ == end_) fail("unexpected end of input");
+  return *cur_;
+}
+
+void Reader::expect(char c) {
+  if (peek() != c) fail_expected(c);
+  ++cur_;
+}
+
+void Reader::enter() {
+  if (++depth_ > kMaxDepth) fail("nesting too deep");
+  first_ = true;
+}
+
+Value::Kind Reader::next_kind() {
+  switch (peek()) {
+    case '{': return Value::Kind::kObject;
+    case '[': return Value::Kind::kArray;
+    case '"': return Value::Kind::kString;
+    case 't':
+    case 'f': return Value::Kind::kBool;
+    case 'n': return Value::Kind::kNull;
+    default: return Value::Kind::kNumber;
   }
+}
 
-  void skip_ws() {
-    while (pos_ < src_.size() &&
-           (src_[pos_] == ' ' || src_[pos_] == '\t' || src_[pos_] == '\n' ||
-            src_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
+void Reader::open_object() {
+  expect('{');
+  enter();
+}
 
-  char peek() {
-    skip_ws();
-    if (pos_ >= src_.size()) fail("unexpected end of input");
-    return src_[pos_];
-  }
-
-  void expect(char c) {
-    if (peek() != c) fail(std::string("expected '") + c + "'");
-    ++pos_;
-  }
-
-  Value parse_value() {
-    switch (peek()) {
-      case '{': return parse_object();
-      case '[': return parse_array();
-      case '"': return parse_string();
-      case 't':
-      case 'f': return parse_bool();
-      case 'n': return parse_null();
-      default: return parse_number();
-    }
-  }
-
-  Value parse_object() {
-    expect('{');
-    if (++depth_ > kMaxDepth) fail("nesting too deep");
-    DepthGuard guard(depth_);
-    Value v;
-    v.kind = Value::Kind::kObject;
+bool Reader::next_member(std::string_view& key) {
+  if (first_) {
+    first_ = false;
     if (peek() == '}') {
-      ++pos_;
-      return v;
+      ++cur_;
+      --depth_;
+      return false;
     }
-    for (;;) {
-      Value key = parse_string();
-      expect(':');
-      v.members.emplace_back(std::move(key.text), parse_value());
-      const char c = peek();
-      ++pos_;
-      if (c == '}') return v;
-      if (c != ',') fail("expected ',' or '}' in object");
+  } else {
+    const char c = peek();
+    ++cur_;
+    if (c == '}') {
+      --depth_;
+      return false;
+    }
+    if (c != ',') fail("expected ',' or '}' in object");
+  }
+  key = read_string();
+  expect(':');
+  return true;
+}
+
+void Reader::open_array() {
+  expect('[');
+  enter();
+}
+
+bool Reader::next_item() {
+  if (first_) {
+    first_ = false;
+    if (peek() != ']') return true;
+    ++cur_;
+    --depth_;
+    return false;
+  }
+  const char c = peek();
+  ++cur_;
+  if (c == ']') {
+    --depth_;
+    return false;
+  }
+  if (c != ',') fail("expected ',' or ']' in array");
+  return true;
+}
+
+std::string_view Reader::read_string() {
+  if (peek() != '"') fail("expected string");
+  const char* const start = ++cur_;
+  const char* const stop = plain_run(start);
+  if (stop != end_ && *stop == '"') {
+    cur_ = stop + 1;
+    return {start, static_cast<std::size_t>(stop - start)};
+  }
+  scratch_.assign(start, stop);
+  cur_ = stop;
+  read_string_rest(scratch_);
+  return scratch_;
+}
+
+const char* Reader::plain_run(const char* from) const noexcept {
+  while (from != end_ && *from != '"' && *from != '\\' &&
+         static_cast<unsigned char>(*from) >= 0x20) {
+    ++from;
+  }
+  return from;
+}
+
+void Reader::read_string_rest(std::string& out) {
+  while (cur_ != end_) {
+    const char* const stop = plain_run(cur_);
+    out.append(cur_, stop);
+    cur_ = stop;
+    if (cur_ == end_) break;
+    const char c = *cur_++;
+    if (c == '"') return;
+    if (c != '\\') fail("raw control character in string");
+    if (cur_ == end_) break;
+    const char esc = *cur_++;
+    switch (esc) {
+      case '"': out.push_back('"'); break;
+      case '\\': out.push_back('\\'); break;
+      case '/': out.push_back('/'); break;
+      case 'b': out.push_back('\b'); break;
+      case 'f': out.push_back('\f'); break;
+      case 'n': out.push_back('\n'); break;
+      case 'r': out.push_back('\r'); break;
+      case 't': out.push_back('\t'); break;
+      case 'u': append_unicode_escape(out); break;
+      default: fail("invalid escape sequence");
     }
   }
+  fail("unterminated string");
+}
 
-  Value parse_array() {
-    expect('[');
-    if (++depth_ > kMaxDepth) fail("nesting too deep");
-    DepthGuard guard(depth_);
-    Value v;
-    v.kind = Value::Kind::kArray;
-    if (peek() == ']') {
-      ++pos_;
-      return v;
-    }
-    for (;;) {
-      v.items.push_back(parse_value());
-      const char c = peek();
-      ++pos_;
-      if (c == ']') return v;
-      if (c != ',') fail("expected ',' or ']' in array");
+void Reader::append_unicode_escape(std::string& out) {
+  if (end_ - cur_ < 4) fail("truncated \\u escape");
+  unsigned code = 0;
+  for (int i = 0; i < 4; ++i) {
+    const char h = *cur_++;
+    code <<= 4;
+    if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
+    else if (h >= 'a' && h <= 'f') code |= static_cast<unsigned>(h - 'a' + 10);
+    else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
+    else fail("invalid hex digit in \\u escape");
+  }
+  if (code >= 0xD800 && code <= 0xDFFF) {
+    fail("surrogate \\u escapes are not supported");
+  }
+  // UTF-8 encode the BMP code point.
+  if (code < 0x80) {
+    out.push_back(static_cast<char>(code));
+  } else if (code < 0x800) {
+    out.push_back(static_cast<char>(0xC0 | (code >> 6)));
+    out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
+  } else {
+    out.push_back(static_cast<char>(0xE0 | (code >> 12)));
+    out.push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
+    out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
+  }
+}
+
+bool Reader::read_bool() {
+  peek();
+  const std::string_view rest(cur_, static_cast<std::size_t>(end_ - cur_));
+  if (rest.substr(0, 4) == "true") {
+    cur_ += 4;
+    return true;
+  }
+  if (rest.substr(0, 5) == "false") {
+    cur_ += 5;
+    return false;
+  }
+  fail("invalid literal");
+}
+
+void Reader::read_null() {
+  peek();
+  const std::string_view rest(cur_, static_cast<std::size_t>(end_ - cur_));
+  if (rest.substr(0, 4) != "null") fail("invalid literal");
+  cur_ += 4;
+}
+
+Number Reader::read_number() {
+  if (is_digit(peek())) {
+    // A plain digit run that fits i64 reads the same through from_chars as
+    // through stoll, and its double is the value stod would round to. A
+    // longer run, or one that a number byte continues, is a general token.
+    Number n;
+    const auto [stop, ec] = std::from_chars(cur_, end_, n.integer);
+    if (ec == std::errc{} &&
+        (stop == end_ || (*stop != '.' && *stop != 'e' && *stop != 'E' &&
+                          *stop != '+' && *stop != '-'))) {
+      cur_ = stop;
+      n.value = static_cast<double>(n.integer);
+      n.integral = true;
+      return n;
     }
   }
+  return read_number_token();
+}
 
-  Value parse_string() {
-    if (peek() != '"') fail("expected string");
-    ++pos_;
-    Value v;
-    v.kind = Value::Kind::kString;
-    while (pos_ < src_.size()) {
-      const char c = src_[pos_++];
-      if (c == '"') return v;
-      if (static_cast<unsigned char>(c) < 0x20) {
-        fail("raw control character in string");
-      }
-      if (c != '\\') {
-        v.text.push_back(c);
-        continue;
-      }
-      if (pos_ >= src_.size()) break;
-      const char esc = src_[pos_++];
-      switch (esc) {
-        case '"': v.text.push_back('"'); break;
-        case '\\': v.text.push_back('\\'); break;
-        case '/': v.text.push_back('/'); break;
-        case 'b': v.text.push_back('\b'); break;
-        case 'f': v.text.push_back('\f'); break;
-        case 'n': v.text.push_back('\n'); break;
-        case 'r': v.text.push_back('\r'); break;
-        case 't': v.text.push_back('\t'); break;
-        case 'u': v.text += parse_unicode_escape(); break;
-        default: fail("invalid escape sequence");
-      }
-    }
-    fail("unterminated string");
-  }
-
-  std::string parse_unicode_escape() {
-    if (pos_ + 4 > src_.size()) fail("truncated \\u escape");
-    unsigned code = 0;
-    for (int i = 0; i < 4; ++i) {
-      const char h = src_[pos_++];
-      code <<= 4;
-      if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
-      else if (h >= 'a' && h <= 'f') code |= static_cast<unsigned>(h - 'a' + 10);
-      else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
-      else fail("invalid hex digit in \\u escape");
-    }
-    if (code >= 0xD800 && code <= 0xDFFF) {
-      fail("surrogate \\u escapes are not supported");
-    }
-    // UTF-8 encode the BMP code point.
-    std::string out;
-    if (code < 0x80) {
-      out.push_back(static_cast<char>(code));
-    } else if (code < 0x800) {
-      out.push_back(static_cast<char>(0xC0 | (code >> 6)));
-      out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
+Number Reader::read_number_token() {
+  const char* const start = cur_;
+  if (*cur_ == '-') ++cur_;
+  bool digits = false;
+  bool real = false;
+  while (cur_ != end_) {
+    const char c = *cur_;
+    if (is_digit(c)) {
+      digits = true;
+      ++cur_;
+    } else if (c == '.' || c == 'e' || c == 'E' || c == '+' || c == '-') {
+      real = real || c == '.' || c == 'e' || c == 'E';
+      ++cur_;
     } else {
-      out.push_back(static_cast<char>(0xE0 | (code >> 12)));
-      out.push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
-      out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
+      break;
     }
-    return out;
   }
-
-  Value parse_bool() {
-    Value v;
-    v.kind = Value::Kind::kBool;
-    if (src_.compare(pos_, 4, "true") == 0) {
-      v.boolean = true;
-      pos_ += 4;
-    } else if (src_.compare(pos_, 5, "false") == 0) {
-      v.boolean = false;
-      pos_ += 5;
-    } else {
-      fail("invalid literal");
-    }
-    return v;
+  if (!digits) fail("invalid number");
+  const std::string token(start, cur_);
+  Number n;
+  try {
+    std::size_t used = 0;
+    n.value = std::stod(token, &used);
+    if (used != token.size()) throw std::invalid_argument(token);
+  } catch (const std::exception&) {
+    fail("unparsable number '" + token + "'");
   }
-
-  Value parse_null() {
-    if (src_.compare(pos_, 4, "null") != 0) fail("invalid literal");
-    pos_ += 4;
-    Value v;
-    v.kind = Value::Kind::kNull;
-    return v;
-  }
-
-  Value parse_number() {
-    const std::size_t start = pos_;
-    if (pos_ < src_.size() && src_[pos_] == '-') ++pos_;
-    bool digits = false;
-    bool real = false;
-    while (pos_ < src_.size()) {
-      const char c = src_[pos_];
-      if (std::isdigit(static_cast<unsigned char>(c))) {
-        digits = true;
-        ++pos_;
-      } else if (c == '.' || c == 'e' || c == 'E' || c == '+' || c == '-') {
-        real = real || c == '.' || c == 'e' || c == 'E';
-        ++pos_;
-      } else {
-        break;
-      }
-    }
-    if (!digits) fail("invalid number");
-    const std::string token = src_.substr(start, pos_ - start);
-    Value v;
-    v.kind = Value::Kind::kNumber;
+  if (!std::isfinite(n.value)) fail("non-finite number '" + token + "'");
+  if (!real) {
     try {
       std::size_t used = 0;
-      v.number = std::stod(token, &used);
-      if (used != token.size()) throw std::invalid_argument(token);
+      n.integer = std::stoll(token, &used);
+      n.integral = used == token.size();
     } catch (const std::exception&) {
-      fail("unparsable number '" + token + "'");
+      n.integer = 0;
+      n.integral = false;  // integer-looking but overflows i64
     }
-    if (!std::isfinite(v.number)) {
-      fail("non-finite number '" + token + "'");
-    }
-    if (!real) {
-      try {
-        std::size_t used = 0;
-        v.integer = std::stoll(token, &used);
-        v.integral = used == token.size();
-      } catch (const std::exception&) {
-        v.integral = false;  // integer-looking but overflows i64
-      }
-    }
-    return v;
   }
+  return n;
+}
 
-  struct DepthGuard {
-    explicit DepthGuard(int& depth) noexcept : depth_(depth) {}
-    ~DepthGuard() { --depth_; }
-    int& depth_;
-  };
+void Reader::skip_value() {
+  switch (next_kind()) {
+    case Value::Kind::kObject:
+      open_object();
+      for (std::string_view key; next_member(key);) skip_value();
+      return;
+    case Value::Kind::kArray:
+      open_array();
+      while (next_item()) skip_value();
+      return;
+    case Value::Kind::kString: (void)read_string(); return;
+    case Value::Kind::kBool: (void)read_bool(); return;
+    case Value::Kind::kNull: read_null(); return;
+    case Value::Kind::kNumber: (void)read_number(); return;
+  }
+}
 
-  const std::string& src_;
-  std::size_t pos_ = 0;
-  int depth_ = 0;
-};
+void Reader::finish() {
+  skip_ws();
+  if (cur_ != end_) fail("trailing characters after JSON value");
+}
+
+namespace {
+
+Value build(Reader& r) {
+  Value v;
+  v.kind = r.next_kind();
+  switch (v.kind) {
+    case Value::Kind::kObject: {
+      r.open_object();
+      for (std::string_view key; r.next_member(key);) {
+        std::string name(key);
+        Value member = build(r);
+        v.members.emplace_back(std::move(name), std::move(member));
+      }
+      break;
+    }
+    case Value::Kind::kArray:
+      r.open_array();
+      while (r.next_item()) v.items.push_back(build(r));
+      break;
+    case Value::Kind::kString: v.text = r.read_string(); break;
+    case Value::Kind::kBool: v.boolean = r.read_bool(); break;
+    case Value::Kind::kNull: r.read_null(); break;
+    case Value::Kind::kNumber: {
+      const Number n = r.read_number();
+      v.number = n.value;
+      v.integer = n.integer;
+      v.integral = n.integral;
+      break;
+    }
+  }
+  return v;
+}
 
 }  // namespace
 
@@ -249,6 +334,11 @@ const Value* Value::find(const std::string& key) const noexcept {
   return nullptr;
 }
 
-Value parse(const std::string& src) { return Parser(src).parse_document(); }
+Value parse(const std::string& src) {
+  Reader r(src);
+  Value v = build(r);
+  r.finish();
+  return v;
+}
 
 }  // namespace reconf::svc::json
