@@ -64,6 +64,12 @@ void Poller::add(int fd, std::uint64_t tag, bool want_read, bool want_write) {
 void Poller::update(int fd, bool want_read, bool want_write) {
   const auto it = entries_.find(fd);
   RECONF_ASSERT(it != entries_.end());
+  // The io loop restates the interest set after every read and write; most
+  // calls change nothing, and the epoll_ctl they would cost is a syscall.
+  if (it->second.want_read == want_read &&
+      it->second.want_write == want_write) {
+    return;
+  }
   it->second.want_read = want_read;
   it->second.want_write = want_write;
 #if defined(__linux__)

@@ -39,7 +39,8 @@ class Poller {
   /// Registers `fd` with interest in read and/or write readiness.
   void add(int fd, std::uint64_t tag, bool want_read, bool want_write);
 
-  /// Changes the interest set of a registered fd.
+  /// Changes the interest set of a registered fd; costs no syscall when
+  /// the set is unchanged.
   void update(int fd, bool want_read, bool want_write);
 
   /// Deregisters `fd`. Safe to call right before closing it.

@@ -53,39 +53,6 @@ struct ResponseMsg {
   std::string text;
 };
 
-/// Coalescing self-pipe: shard workers (and the acceptor handing off a new
-/// connection) wake an io thread parked in poll/epoll. The atomic pending
-/// flag keeps a burst of notifications down to one pipe write.
-struct WakePipe {
-  int fds[2] = {-1, -1};
-  std::atomic<bool> pending{false};
-
-  bool open() {
-    if (::pipe(fds) != 0) return false;
-    return set_nonblocking(fds[0]) && set_nonblocking(fds[1]);
-  }
-
-  void close_fds() {
-    for (int& fd : fds) {
-      if (fd >= 0) ::close(fd);
-      fd = -1;
-    }
-  }
-
-  void notify() {
-    if (pending.exchange(true, std::memory_order_seq_cst)) return;
-    const char byte = 1;
-    [[maybe_unused]] const ssize_t n = ::write(fds[1], &byte, 1);
-  }
-
-  void drain() {
-    pending.store(false, std::memory_order_seq_cst);
-    char buf[64];
-    while (::read(fds[0], buf, sizeof buf) > 0) {
-    }
-  }
-};
-
 /// A queued response waiting for its turn in the connection's emit order.
 /// Stats requests are materialized at emission time — the snapshot then
 /// reflects every request answered before it on that connection ("stats
@@ -139,7 +106,8 @@ struct AsyncServer::Impl {
   std::vector<std::unique_ptr<WakePipe>> wakes;  ///< one per io thread
 
   std::vector<std::unique_ptr<svc::ShardCache>> caches;
-  std::vector<std::atomic<int>> pinned;  ///< cpu id per shard, -1 = none
+  std::vector<std::atomic<int>> pinned;     ///< cpu id per shard, -1 = none
+  std::vector<std::atomic<int>> io_pinned;  ///< cpu id per io thread
 
   /// New fds (accepted by io thread 0, or adopted), handed to their owner
   /// thread.
@@ -291,25 +259,27 @@ struct AsyncServer::Impl {
     return svc::format_verdict_line(v, &request.taskset);
   }
 
-  /// Pins shard `shard`'s just-spawned worker to core shard % cores.
-  /// Called from spawn() on the thread's native handle, so pinned_cpus()
-  /// is accurate the moment start() or adopt() returns (no race with
-  /// worker startup).
-  void maybe_pin(std::uint32_t shard, std::thread& worker) {
+  /// Pins a just-spawned thread to core `slot % cores` and records the
+  /// core in `cpu`: shard s takes slot s, io thread k slot shard_count + k.
+  /// Called from spawn() on the thread's native handle, so the pinned ids
+  /// are accurate the moment start() or adopt() returns (no race with
+  /// thread startup).
+  void maybe_pin(unsigned slot, std::thread& thread, std::atomic<int>& cpu) {
 #if defined(__linux__)
     if (!config.pin_cores) return;
     const unsigned cores = std::max(1u, std::thread::hardware_concurrency());
-    const int cpu = static_cast<int>(shard % cores);
+    const int core = static_cast<int>(slot % cores);
     cpu_set_t set;
     CPU_ZERO(&set);
-    CPU_SET(cpu, &set);
-    if (::pthread_setaffinity_np(worker.native_handle(), sizeof set, &set) ==
+    CPU_SET(core, &set);
+    if (::pthread_setaffinity_np(thread.native_handle(), sizeof set, &set) ==
         0) {
-      pinned[shard].store(cpu, std::memory_order_relaxed);
+      cpu.store(core, std::memory_order_relaxed);
     }
 #else
-    (void)shard;
-    (void)worker;
+    (void)slot;
+    (void)thread;
+    (void)cpu;
 #endif
   }
 
@@ -341,6 +311,8 @@ struct AsyncServer::Impl {
 
       for (const PollEvent& ev : events) {
         if (ev.tag == kWakeTag) {
+          // Before the ring pops below: they then see every answer whose
+          // notify coalesced into this wake.
           wake.drain();
           continue;
         }
@@ -538,8 +510,11 @@ struct AsyncServer::Impl {
     }
   }
 
-  /// Reads until EAGAIN (level-triggered: stopping early for flow control
-  /// is always safe), framing and dispatching complete lines as they land.
+  /// Reads until a short read or EAGAIN, framing and dispatching complete
+  /// lines as they land. A short read means the socket was drained: the
+  /// poller is level-triggered, so it reports any byte that arrives after
+  /// it (or end of stream) again, and a read for the EAGAIN is saved.
+  /// Stopping early for flow control is just as safe.
   bool read_conn(Poller& poller, Conn& conn, char* buf, unsigned io,
                  std::uint64_t& pending, obs::Counter& shed_queue) {
     for (;;) {
@@ -548,6 +523,7 @@ struct AsyncServer::Impl {
         conn.framer.feed(buf, static_cast<std::size_t>(n));
         if (!pump_conn(poller, conn, io, pending, shed_queue)) return false;
         if (conn.paused || conn.blocked != nullptr) return true;
+        if (static_cast<std::size_t>(n) < kReadChunk) return true;
         continue;
       }
       if (n == 0) {
@@ -768,10 +744,11 @@ struct AsyncServer::Impl {
   void spawn() {
     for (unsigned s = 0; s < shard_count; ++s) {
       shard_threads.emplace_back([this, s] { shard_main(s); });
-      maybe_pin(s, shard_threads.back());
+      maybe_pin(s, shard_threads.back(), pinned[s]);
     }
     for (unsigned io = 0; io < io_count; ++io) {
       io_threads.emplace_back([this, io] { io_main(io); });
+      maybe_pin(shard_count + io, io_threads.back(), io_pinned[io]);
     }
     started = true;
   }
@@ -792,6 +769,11 @@ struct AsyncServer::Impl {
       metrics.gauge("reconf_net_shard_cpu{shard=\"" + std::to_string(s) +
                     "\"}")
           .set(static_cast<double>(pinned[s].load(std::memory_order_relaxed)));
+    }
+    for (std::size_t io = 0; io < io_pinned.size(); ++io) {
+      metrics.gauge("reconf_net_io_cpu{io=\"" + std::to_string(io) + "\"}")
+          .set(static_cast<double>(
+              io_pinned[io].load(std::memory_order_relaxed)));
     }
   }
 };
@@ -817,6 +799,8 @@ AsyncServer::AsyncServer(ServerConfig config)
   }
   impl_->pinned = std::vector<std::atomic<int>>(impl_->shard_count);
   for (auto& p : impl_->pinned) p.store(-1, std::memory_order_relaxed);
+  impl_->io_pinned = std::vector<std::atomic<int>>(impl_->io_count);
+  for (auto& p : impl_->io_pinned) p.store(-1, std::memory_order_relaxed);
 
   impl_->requests.resize(impl_->io_count);
   for (unsigned io = 0; io < impl_->io_count; ++io) {
@@ -935,13 +919,25 @@ const char* AsyncServer::backend() const noexcept {
   return impl_->backend_name.load();
 }
 
-std::vector<int> AsyncServer::pinned_cpus() const {
+namespace {
+
+std::vector<int> load_cpus(const std::vector<std::atomic<int>>& cells) {
   std::vector<int> out;
-  out.reserve(impl_->pinned.size());
-  for (const auto& p : impl_->pinned) {
-    out.push_back(p.load(std::memory_order_relaxed));
+  out.reserve(cells.size());
+  for (const auto& cell : cells) {
+    out.push_back(cell.load(std::memory_order_relaxed));
   }
   return out;
+}
+
+}  // namespace
+
+std::vector<int> AsyncServer::pinned_cpus() const {
+  return load_cpus(impl_->pinned);
+}
+
+std::vector<int> AsyncServer::pinned_io_cpus() const {
+  return load_cpus(impl_->io_pinned);
 }
 
 bool AsyncServer::load_cache_snapshot(const std::string& path,

@@ -22,7 +22,8 @@ struct ServerConfig {
   bool shed_on_overload = false;  ///< full ring: shed (true) or flow-control
                                   ///< the connection (false)
   long long request_timeout_ms = 0;  ///< 0 = no per-request deadline
-  bool pin_cores = false;   ///< pin shard workers to cores (Linux only)
+  bool pin_cores = false;   ///< pin shard workers, then io threads, to
+                            ///< cores (Linux only)
   std::size_t max_outbuf = 4u << 20;  ///< per-conn write buffer cap before
                                       ///< reads pause (flow control)
   svc::BatchOptions options;  ///< pipeline analysis configuration
@@ -115,6 +116,9 @@ class AsyncServer {
 
   /// CPU ids the shard workers are pinned to (-1 = unpinned), shard order.
   [[nodiscard]] std::vector<int> pinned_cpus() const;
+
+  /// CPU ids the io threads are pinned to (-1 = unpinned), io-thread order.
+  [[nodiscard]] std::vector<int> pinned_io_cpus() const;
 
   /// Warm-restores the per-shard caches from a v1 snapshot file, routing
   /// every key into the CURRENT shard count regardless of the writer's

@@ -8,6 +8,10 @@
 #include <utility>
 #include <vector>
 
+#include <unistd.h>
+
+#include "net/poller.hpp"
+
 namespace reconf::net {
 
 /// Bounded single-producer single-consumer ring queue — the only channel
@@ -81,18 +85,39 @@ class SpscRing {
   alignas(64) std::size_t tail_cache_ = 0;  ///< consumer's view of tail_
 };
 
-/// Sleep/wake handshake for a ring consumer. The consumer spins briefly,
-/// then publishes `parked`, re-checks for work (closing the race with a
-/// producer that pushed before seeing the flag), and sleeps; producers call
-/// notify() after pushing. The bounded wait_for makes any residual missed
-/// wakeup self-healing instead of a hang — this is a latency backstop, not
-/// a correctness crutch: the flag protocol above already covers the
-/// ordinary interleavings.
+// ThreadSanitizer does not model fences, and GCC says so with a warning for
+// each one under -fsanitize=thread. The fences below order no data TSan has
+// to see (the rings publish with release/acquire); they only close the
+// StoreLoad races of the wake handshakes.
+#if defined(__SANITIZE_THREAD__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wtsan"
+#endif
+/// Full barrier: a store before it is visible to every thread before any
+/// load after it reads. Both sides of a Dekker handshake need one.
+inline void store_load_fence() {
+  std::atomic_thread_fence(std::memory_order_seq_cst);
+}
+#if defined(__SANITIZE_THREAD__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
+
+/// Sleep/wake handshake for a ring consumer (a shard worker). The consumer
+/// publishes `parked`, re-checks for work, and sleeps; a producer pushes,
+/// then checks `parked` and wakes it. Each side puts a full fence between
+/// its store and its load, so at least one of them sees the other's store:
+/// either the consumer finds the work, or the producer finds it parked. The
+/// bounded wait_for is a backstop only; no interleaving relies on it.
 class Parker {
  public:
+  /// Producer side; call after the push.
   void notify() {
+    store_load_fence();
     if (parked_.load(std::memory_order_seq_cst)) {
-      const std::lock_guard<std::mutex> lock(mutex_);
+      // Taking the mutex orders this wake after a consumer that checked its
+      // predicate and is about to wait. Notifying after the unlock spares
+      // the woken consumer from blocking at once on the mutex held here.
+      { const std::lock_guard<std::mutex> lock(mutex_); }
       cv_.notify_one();
     }
   }
@@ -102,6 +127,7 @@ class Parker {
   template <typename Pred>
   void park(const Pred& has_work) {
     parked_.store(true, std::memory_order_seq_cst);
+    store_load_fence();
     if (has_work()) {
       parked_.store(false, std::memory_order_seq_cst);
       return;
@@ -116,6 +142,49 @@ class Parker {
   std::atomic<bool> parked_{false};
   std::mutex mutex_;
   std::condition_variable cv_;
+};
+
+/// One-byte self-pipe that wakes a consumer blocked in poll/epoll on
+/// fds[0] (an io thread) when a producer (a shard worker, or the thread
+/// handing over a new connection) has queued something for it.
+///
+/// `pending` coalesces a burst of notifies into one pipe write: notify()
+/// writes only when it is the one that set the flag. drain() reads that
+/// byte first and clears the flag after, with an acq_rel exchange. A notify
+/// that found the flag set therefore came before the clear, and the clear
+/// acquires its producer's push: the consumer's pops after drain() see it.
+/// A notify after the clear writes a new byte. The pipe never holds more
+/// than one byte, and no notify is lost.
+struct WakePipe {
+  int fds[2] = {-1, -1};
+  std::atomic<bool> pending{false};
+
+  bool open() {
+    if (::pipe(fds) != 0) return false;
+    return set_nonblocking(fds[0]) && set_nonblocking(fds[1]);
+  }
+
+  void close_fds() {
+    for (int& fd : fds) {
+      if (fd >= 0) ::close(fd);
+      fd = -1;
+    }
+  }
+
+  /// Producer side; call after the push.
+  void notify() {
+    if (pending.exchange(true, std::memory_order_seq_cst)) return;
+    const char byte = 1;
+    [[maybe_unused]] const ssize_t n = ::write(fds[1], &byte, 1);
+  }
+
+  /// Consumer side; call when fds[0] polls readable, then pop every ring
+  /// this pipe stands for.
+  void drain() {
+    char byte = 0;
+    [[maybe_unused]] const ssize_t n = ::read(fds[0], &byte, 1);
+    pending.exchange(false, std::memory_order_acq_rel);
+  }
 };
 
 }  // namespace reconf::net

@@ -1,14 +1,18 @@
-// Socket-level integration tests for the async serving tier (src/net/):
-// pipelined and fragmented NDJSON over real TCP connections and over the
+// Tests for the async serving tier (src/net/). Unit tests of its handshake
+// primitives: the SPSC ring, the shard workers' Parker and the io threads'
+// WakePipe, the last under concurrent producers. Socket-level integration
+// tests: pipelined and fragmented NDJSON over real TCP connections and over the
 // stdio entry (pipe and regular-file input), byte-compared against a
 // single-process replay through the same evaluate_with_engine funnel;
 // oversized/malformed line recovery; concurrent connections; snapshot
 // topology portability (save under one shard count, warm-restore under
 // another); core pinning; graceful EOF flush; the stdio drain on stop with
 // stdin still open; and the poll(2) fallback backend selected via
-// RECONF_NET_POLL=1.
+// RECONF_NET_POLL=1; and a lone request after a pipelined burst answered
+// at once, not at the io loop's 10 ms poll timeout.
 
 #include <algorithm>
+#include <atomic>
 #include <cctype>
 #include <chrono>
 #include <cstdint>
@@ -22,6 +26,7 @@
 #include <vector>
 
 #include <fcntl.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -30,12 +35,162 @@
 #include "analysis/composite.hpp"
 #include "net/poller.hpp"
 #include "net/server.hpp"
+#include "net/spsc_ring.hpp"
+#include "obs/metrics.hpp"
 #include "svc/batch.hpp"
 #include "svc/codec.hpp"
 #include "svc/shard_cache.hpp"
 
 namespace reconf {
 namespace {
+
+// ---------------------------------------------- handshake primitives ----
+
+TEST(SpscRing, FullEmptyAndWrap) {
+  net::SpscRing<int> ring(3);  // rounded up to 4
+  ASSERT_EQ(ring.capacity(), 4u);
+  int out = -1;
+  EXPECT_TRUE(ring.empty());
+  EXPECT_FALSE(ring.try_pop(out));
+  // Many laps of fill-to-full then drain-to-empty: the cursors wrap the
+  // slot array while FIFO order and the full/empty answers hold.
+  int next_in = 0;
+  int next_out = 0;
+  for (int lap = 0; lap < 50; ++lap) {
+    for (std::size_t i = 0; i < ring.capacity(); ++i) {
+      ASSERT_TRUE(ring.try_push(int{next_in++}));
+    }
+    int spare = -7;
+    EXPECT_FALSE(ring.try_push(std::move(spare)));
+    EXPECT_EQ(spare, -7) << "a failed push must not move from its argument";
+    EXPECT_EQ(ring.size(), ring.capacity());
+    // Pop part of it and refill, so head and tail sit at odd offsets.
+    for (int i = 0; i < 3; ++i) {
+      ASSERT_TRUE(ring.try_pop(out));
+      EXPECT_EQ(out, next_out++);
+    }
+    ASSERT_TRUE(ring.try_push(int{next_in++}));
+    while (ring.try_pop(out)) EXPECT_EQ(out, next_out++);
+    EXPECT_TRUE(ring.empty());
+    EXPECT_EQ(ring.size(), 0u);
+  }
+  EXPECT_EQ(next_out, next_in);
+}
+
+TEST(Parker, NotifyWakesParkedConsumer) {
+  // Ping-pong: the producer publishes round r, then waits for the consumer
+  // to acknowledge it. A pause before each publish lets the consumer park
+  // first, so each round needs notify() to wake it. Rounds that fell back
+  // on the 10 ms wait_for backstop would take over a second in total.
+  constexpr int kRounds = 100;
+  net::Parker parker;
+  std::atomic<int> published{0};
+  std::atomic<int> acked{0};
+  const auto began = std::chrono::steady_clock::now();
+  std::thread consumer([&] {
+    for (int r = 1; r <= kRounds; ++r) {
+      while (published.load(std::memory_order_acquire) < r) {
+        parker.park(
+            [&] { return published.load(std::memory_order_acquire) >= r; });
+      }
+      acked.store(r, std::memory_order_release);
+    }
+  });
+  for (int r = 1; r <= kRounds; ++r) {
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+    published.store(r, std::memory_order_release);
+    parker.notify();
+    while (acked.load(std::memory_order_acquire) < r) {
+      std::this_thread::yield();
+    }
+  }
+  consumer.join();
+  const auto elapsed = std::chrono::steady_clock::now() - began;
+  EXPECT_LT(elapsed, std::chrono::milliseconds(kRounds * 10 / 2))
+      << "rounds waited for the backstop instead of the notify";
+}
+
+TEST(Parker, StopPredicateReturns) {
+  net::Parker parker;
+  // A predicate that is already true returns at once, without sleeping.
+  int calls = 0;
+  parker.park([&] {
+    ++calls;
+    return true;
+  });
+  EXPECT_EQ(calls, 1);
+
+  // A consumer parked until stop returns once stop is set and notified.
+  std::atomic<bool> stop{false};
+  std::atomic<bool> returned{false};
+  std::thread consumer([&] {
+    while (!stop.load(std::memory_order_acquire)) {
+      parker.park([&] { return stop.load(std::memory_order_acquire); });
+    }
+    returned.store(true, std::memory_order_release);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  EXPECT_FALSE(returned.load(std::memory_order_acquire));
+  stop.store(true, std::memory_order_release);
+  parker.notify();
+  consumer.join();
+  EXPECT_TRUE(returned.load(std::memory_order_acquire));
+}
+
+TEST(WakePipe, NoNotifyIsLostUnderConcurrentDrains) {
+  // Two producers, each with its own ring, push and notify after every
+  // item, as shard workers do. The consumer, like an io thread, blocks in
+  // poll() on the pipe, drains it, then pops both rings. An item found in
+  // a ring after a poll that timed out was pushed and notified while the
+  // consumer slept: its wake-up was lost.
+  constexpr int kPerProducer = 100000;
+  constexpr std::size_t kRingCap = 8;
+  net::WakePipe wake;
+  ASSERT_TRUE(wake.open());
+  // Small rings keep the producers close behind the consumer, so most
+  // drains race with a notify.
+  net::SpscRing<int> rings[2] = {net::SpscRing<int>(kRingCap),
+                                 net::SpscRing<int>(kRingCap)};
+  std::vector<std::thread> producers;
+  for (net::SpscRing<int>& ring : rings) {
+    producers.emplace_back([&wake, &ring] {
+      for (int i = 0; i < kPerProducer; ++i) {
+        while (!ring.try_push(int{i})) std::this_thread::yield();
+        wake.notify();
+      }
+    });
+  }
+  int next[2] = {0, 0};
+  bool lost = false;
+  while (next[0] < kPerProducer || next[1] < kPerProducer) {
+    pollfd p{wake.fds[0], POLLIN, 0};
+    const int ready = ::poll(&p, 1, 1000);
+    if (ready > 0) wake.drain();
+    bool popped = false;
+    for (int r = 0; r < 2; ++r) {
+      int item = -1;
+      while (rings[r].try_pop(item)) {
+        EXPECT_EQ(item, next[r]);
+        ++next[r];
+        popped = true;
+      }
+    }
+    if (ready == 0 && popped) {
+      lost = true;
+      break;
+    }
+  }
+  // After a failure, let the producers finish without waiting on the pipe.
+  for (int r = 0; r < 2; ++r) {
+    int item = -1;
+    while (next[r] < kPerProducer) {
+      if (rings[r].try_pop(item)) ++next[r];
+    }
+  }
+  for (std::thread& t : producers) t.join();
+  wake.close_fds();
+  EXPECT_FALSE(lost) << "poll timed out with items queued: a notify was lost";
+}
 
 // ------------------------------------------------------------ helpers ----
 
@@ -410,6 +565,103 @@ TEST(NetServer, ShedModeAnswersEveryRequest) {
   EXPECT_EQ(server.totals().sheds, sheds);
 }
 
+/// Sends `lines` on `fd`, pipelined with at most `window` unanswered, and
+/// returns the answers.
+std::vector<std::string> send_windowed(int fd,
+                                       const std::vector<std::string>& lines,
+                                       std::size_t window) {
+  std::vector<std::string> got;
+  std::string pending;
+  char buf[16 * 1024];
+  std::size_t sent = 0;
+  while (got.size() < lines.size()) {
+    std::string wire;
+    while (sent < lines.size() && sent - got.size() < window) {
+      wire += lines[sent++] + "\n";
+    }
+    if (!wire.empty()) send_all(fd, wire);
+    const ssize_t n = ::read(fd, buf, sizeof buf);
+    if (n <= 0) break;
+    pending.append(buf, static_cast<std::size_t>(n));
+    std::size_t at;
+    while ((at = pending.find('\n')) != std::string::npos) {
+      got.push_back(pending.substr(0, at));
+      pending.erase(0, at + 1);
+    }
+  }
+  return got;
+}
+
+/// A pipelined burst on two connections (32 in flight on each), then lone
+/// requests one at a time, each timed from send to answer. Returns the
+/// median round trip; `lines` and `got` receive every request and answer.
+std::chrono::microseconds lone_rtt_after_burst(
+    const net::ServerConfig& config, std::vector<std::string>& lines,
+    std::vector<std::string>& got) {
+  constexpr std::uint64_t kBurstPerConn = 10000;
+  constexpr std::uint64_t kLone = 50;
+  net::AsyncServer server(config);
+  std::string error;
+  EXPECT_TRUE(server.start(&error)) << error;
+  const int fds[2] = {must_connect(server.port()),
+                      must_connect(server.port())};
+
+  // Distinct keys everywhere, so no answer depends on which connection's
+  // request reached the cache first.
+  std::vector<std::string> burst[2];
+  std::vector<std::string> burst_got[2];
+  std::vector<std::thread> clients;
+  for (unsigned c = 0; c < 2; ++c) {
+    for (std::uint64_t i = 0; i < kBurstPerConn; ++i) {
+      burst[c].push_back(request_line(c * kBurstPerConn + i,
+                                      "b" + std::to_string(c) + "-" +
+                                          std::to_string(i)));
+    }
+    clients.emplace_back(
+        [&, c] { burst_got[c] = send_windowed(fds[c], burst[c], 32); });
+  }
+  for (std::thread& t : clients) t.join();
+  for (unsigned c = 0; c < 2; ++c) {
+    lines.insert(lines.end(), burst[c].begin(), burst[c].end());
+    got.insert(got.end(), burst_got[c].begin(), burst_got[c].end());
+  }
+
+  std::vector<std::chrono::microseconds> rtts;
+  for (std::uint64_t i = 0; i < kLone; ++i) {
+    const std::string line =
+        request_line(2 * kBurstPerConn + i, "lone" + std::to_string(i));
+    const auto sent = std::chrono::steady_clock::now();
+    const std::vector<std::string> answer =
+        send_windowed(fds[i % 2], {line}, 1);
+    rtts.push_back(std::chrono::duration_cast<std::chrono::microseconds>(
+        std::chrono::steady_clock::now() - sent));
+    lines.push_back(line);
+    got.insert(got.end(), answer.begin(), answer.end());
+  }
+  for (const int fd : fds) ::close(fd);
+  server.stop();
+  std::sort(rtts.begin(), rtts.end());
+  return rtts[rtts.size() / 2];
+}
+
+TEST(NetServer, LoneRequestAfterBurstIsAnsweredPromptly) {
+  // After a burst, shard answers to a lone request must wake the io thread
+  // through its wake pipe. A lost wake-up leaves the answer until the io
+  // loop's 10 ms poll timeout, which puts the median round trip at >= 10 ms.
+  for (const bool poll_backend : {false, true}) {
+    if (poll_backend) ::setenv("RECONF_NET_POLL", "1", 1);
+    const net::ServerConfig config = test_config(2);
+    std::vector<std::string> lines;
+    std::vector<std::string> got;
+    const std::chrono::microseconds median =
+        lone_rtt_after_burst(config, lines, got);
+    if (poll_backend) ::unsetenv("RECONF_NET_POLL");
+    SCOPED_TRACE(poll_backend ? "poll backend" : "default backend");
+    EXPECT_LT(median, std::chrono::milliseconds(5));
+    expect_replay_parity(config, lines, got);
+  }
+}
+
 // ------------------------------------------- snapshot topology change ----
 
 TEST(NetServer, SnapshotWarmRestoreAcrossShardCounts) {
@@ -472,17 +724,35 @@ TEST(NetServer, PinCoresReportsShardCpus) {
   std::string error;
   ASSERT_TRUE(server.start(&error)) << error;
   const std::vector<int> cpus = server.pinned_cpus();
+  const std::vector<int> io_cpus = server.pinned_io_cpus();
   ASSERT_EQ(cpus.size(), 2u);
+  ASSERT_EQ(io_cpus.size(), 1u);
+
+  // A stats request publishes the gauges.
+  const int fd = must_connect(server.port());
+  send_all(fd, "{\"id\":\"snap\",\"stats\":true}\n");
+  ASSERT_EQ(read_lines(fd, 1).size(), 1u);
+  ::close(fd);
+  server.stop();
+  const double io_gauge =
+      obs::MetricsRegistry::instance().gauge("reconf_net_io_cpu{io=\"0\"}")
+          .value();
+
 #if defined(__linux__)
+  // Shard s on core s, then io thread k on core shards + k (mod cores).
   const int cores =
       static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
   for (std::size_t shard = 0; shard < cpus.size(); ++shard) {
     EXPECT_EQ(cpus[shard], static_cast<int>(shard) % cores);
   }
+  EXPECT_EQ(io_cpus[0], 2 % cores);
 #else
   for (const int cpu : cpus) EXPECT_EQ(cpu, -1);
+  EXPECT_EQ(io_cpus[0], -1);
 #endif
-  server.stop();
+  if (obs::enabled()) {
+    EXPECT_EQ(io_gauge, static_cast<double>(io_cpus[0]));
+  }
 }
 
 // -------------------------------------------------------- stdio entry ----

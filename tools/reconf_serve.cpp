@@ -30,9 +30,11 @@
 //                       (default 0 = cores)
 //   --io-threads=N      event-loop threads framing/parsing connections
 //                       (default 1; stdio is one connection, served by one)
-//   --pin-cores         pin shard workers to cores via
+//   --pin-cores         pin shard worker s to core s and io thread k to
+//                       core shards + k (mod cores) via
 //                       pthread_setaffinity_np; a no-op off Linux. Pinned ids
-//                       surface in the reconf_net_shard_cpu gauges
+//                       surface in the reconf_net_shard_cpu and
+//                       reconf_net_io_cpu gauges
 //   --cache-capacity=N  verdict cache entries, split across the shards
 //                       (default 65536)
 //   --no-cache          disable the cache (every request re-analyzes)
