@@ -45,6 +45,7 @@
 #include <string>
 #include <vector>
 
+#include "common/flags.hpp"
 #include "common/report_merge.hpp"
 #include "common/stopwatch.hpp"
 #include "fault/plan.hpp"
@@ -281,27 +282,11 @@ bool merge_into(const std::string& path, const std::string& key_name,
   return true;
 }
 
-std::string flag_value(int argc, char** argv, const std::string& name) {
-  const std::string prefix = "--" + name + "=";
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a.rfind(prefix, 0) == 0) return a.substr(prefix.size());
-  }
-  return {};
-}
-
-bool has_flag(int argc, char** argv, const std::string& name) {
-  const std::string bare = "--" + name;
-  for (int i = 1; i < argc; ++i) {
-    if (bare == argv[i]) return true;
-  }
-  return false;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool quick = has_flag(argc, argv, "quick");
+  const std::vector<std::string> args(argv + 1, argv + argc);
+  const bool quick = has_flag(args, "quick");
   const int seeds = quick ? 5 : 25;
 
   std::vector<Cell> cells;
@@ -360,7 +345,7 @@ int main(int argc, char** argv) {
 
   const std::string json = report_json(cells, seeds);
   const std::string fault_json = fault_report_json(fault_cells, seeds);
-  const std::string out = flag_value(argc, argv, "out");
+  const std::string out = flag_str(args, "out").value_or("");
   if (out.empty() || out == "-") {
     std::printf("\n\"runtime\": %s\n", json.c_str());
     std::printf("\n\"fault\": %s\n", fault_json.c_str());
@@ -374,7 +359,7 @@ int main(int argc, char** argv) {
       << "\n}\n";
   }
 
-  const std::string merge = flag_value(argc, argv, "merge");
+  const std::string merge = flag_str(args, "merge").value_or("");
   if (!merge.empty()) {
     if (!merge_into(merge, "runtime", json)) return 1;
     if (!merge_into(merge, "fault", fault_json)) return 1;

@@ -19,7 +19,11 @@
 #include <cstdlib>
 #include <vector>
 
-#include "reconf/reconf.hpp"
+#include "gen/generator.hpp"
+#include "sim/engine.hpp"
+#include "svc/session.hpp"
+#include "svc/shard_cache.hpp"
+#include "task/taskset.hpp"
 
 int main(int argc, char** argv) {
   using namespace reconf;

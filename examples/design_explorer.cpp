@@ -18,7 +18,14 @@
 #include <string>
 #include <vector>
 
-#include "reconf/reconf.hpp"
+#include "analysis/dp.hpp"
+#include "analysis/engine.hpp"
+#include "analysis/gn1.hpp"
+#include "analysis/gn2.hpp"
+#include "gen/generator.hpp"
+#include "partition/partitioned.hpp"
+#include "sim/engine.hpp"
+#include "task/io.hpp"
 
 namespace {
 

@@ -27,7 +27,9 @@
 
 #include <cstdio>
 
-#include "reconf/reconf.hpp"
+#include "rt/prefetch.hpp"
+#include "rt/runtime.hpp"
+#include "rt/scenario.hpp"
 
 int main() {
   using namespace reconf;

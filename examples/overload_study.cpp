@@ -9,7 +9,10 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "reconf/reconf.hpp"
+#include "analysis/engine.hpp"
+#include "gen/generator.hpp"
+#include "gen/rng.hpp"
+#include "sim/engine.hpp"
 
 int main(int argc, char** argv) {
   using namespace reconf;

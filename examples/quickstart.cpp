@@ -7,7 +7,11 @@
 #include <cstdio>
 #include <iostream>
 
-#include "reconf/reconf.hpp"
+#include "analysis/engine.hpp"
+#include "sim/engine.hpp"
+#include "task/io.hpp"
+#include "task/task.hpp"
+#include "task/taskset.hpp"
 
 namespace {
 

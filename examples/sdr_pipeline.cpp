@@ -15,7 +15,15 @@
 #include <cstdio>
 #include <iostream>
 
-#include "reconf/reconf.hpp"
+#include "analysis/dp.hpp"
+#include "analysis/engine.hpp"
+#include "analysis/gn1.hpp"
+#include "analysis/gn2.hpp"
+#include "analysis/overhead.hpp"
+#include "sim/engine.hpp"
+#include "task/io.hpp"
+#include "task/task.hpp"
+#include "task/taskset.hpp"
 
 int main() {
   using namespace reconf;

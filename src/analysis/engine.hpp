@@ -314,9 +314,6 @@ class AnalysisEngine {
   [[nodiscard]] const AnalysisRequest& request() const noexcept {
     return request_;
   }
-  [[nodiscard]] std::size_t analyzer_count() const noexcept {
-    return analyzers_.size();
-  }
   [[nodiscard]] bool empty() const noexcept { return analyzers_.empty(); }
 
   /// Cumulative (runs, accepts, seconds) per analyzer id, execution order.

@@ -3,8 +3,6 @@
 #include <memory>
 #include <utility>
 
-#include "analysis/composite.hpp"
-#include "partition/partitioned.hpp"
 #include "sim/engine.hpp"
 
 namespace reconf::exp {
@@ -20,14 +18,6 @@ SeriesSpec engine_series(std::string name, analysis::AnalysisRequest request) {
   return {std::move(name), [engine](const TaskSet& ts, Device dev) {
             return engine->run(ts, dev).accepted();
           }};
-}
-
-SeriesSpec analyzer_series(const std::string& id,
-                           analysis::AnalyzerConfig config) {
-  analysis::AnalysisRequest request;
-  request.tests = {id};
-  request.config = std::move(config);
-  return engine_series(id, std::move(request));
 }
 
 namespace {
@@ -61,9 +51,8 @@ SeriesSpec gn2_series(analysis::Gn2Options options) {
   return one_test_series("GN2", "gn2", std::move(config));
 }
 
-SeriesSpec any_test_series(analysis::CompositeOptions options) {
-  return engine_series(
-      "ANY", analysis::request_from_composite(options, /*for_fkf=*/false));
+SeriesSpec any_test_series() {
+  return engine_series("ANY", analysis::fast_any_request());
 }
 
 SeriesSpec sim_series(sim::SchedulerKind scheduler, sim::SimConfig base) {
@@ -74,10 +63,6 @@ SeriesSpec sim_series(sim::SchedulerKind scheduler, sim::SimConfig base) {
   return {std::move(name), [base](const TaskSet& ts, Device dev) {
             return sim::simulate(ts, dev, base).schedulable;
           }};
-}
-
-SeriesSpec partitioned_series() {
-  return one_test_series("PART", "partition", {});
 }
 
 std::vector<SeriesSpec> paper_series(sim::SimConfig sim_base, bool include_any,

@@ -26,17 +26,13 @@ struct SeriesSpec {
 [[nodiscard]] SeriesSpec engine_series(std::string name,
                                        analysis::AnalysisRequest request);
 
-/// A single-analyzer curve by registry id (name defaults to the id).
-[[nodiscard]] SeriesSpec analyzer_series(const std::string& id,
-                                         analysis::AnalyzerConfig config = {});
-
 /// The three bound tests of the paper.
 [[nodiscard]] SeriesSpec dp_series(analysis::DpOptions options = {});
 [[nodiscard]] SeriesSpec gn1_series(analysis::Gn1Options options = {});
 [[nodiscard]] SeriesSpec gn2_series(analysis::Gn2Options options = {});
 
 /// Section 6 recommendation: accept when any bound accepts.
-[[nodiscard]] SeriesSpec any_test_series(analysis::CompositeOptions options = {});
+[[nodiscard]] SeriesSpec any_test_series();
 
 /// Simulation upper bound (synchronous release at t = 0), for the given
 /// scheduler. `base` carries horizon and placement settings; its scheduler
@@ -44,11 +40,8 @@ struct SeriesSpec {
 [[nodiscard]] SeriesSpec sim_series(sim::SchedulerKind scheduler,
                                     sim::SimConfig base = {});
 
-/// Partitioned-EDF baseline (Danne & Platzner RAW'06).
-[[nodiscard]] SeriesSpec partitioned_series();
-
-/// The figure line-up used by the paper (DP, GN1, GN2 + simulation) plus the
-/// composite; `sim_base` configures the simulation horizon.
+/// The figure line-up used by the paper (DP, GN1, GN2 + simulation) plus
+/// their ANY union; `sim_base` configures the simulation horizon.
 [[nodiscard]] std::vector<SeriesSpec> paper_series(sim::SimConfig sim_base = {},
                                                    bool include_any = true,
                                                    bool include_fkf_sim = true);

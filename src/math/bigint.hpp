@@ -23,9 +23,6 @@ class BigInt {
 
   [[nodiscard]] bool is_zero() const noexcept { return limbs_.empty(); }
   [[nodiscard]] bool is_negative() const noexcept { return negative_; }
-  [[nodiscard]] bool is_even() const noexcept {
-    return limbs_.empty() || (limbs_[0] & 1u) == 0;
-  }
 
   /// Number of significant bits of |*this| (0 for zero).
   [[nodiscard]] std::size_t bit_length() const noexcept;

@@ -19,14 +19,6 @@ __extension__ typedef __int128 Int128;
   return out;
 }
 
-/// Overflow-checked int64 subtraction; nullopt on overflow.
-[[nodiscard]] inline std::optional<std::int64_t> checked_sub(
-    std::int64_t a, std::int64_t b) noexcept {
-  std::int64_t out = 0;
-  if (__builtin_sub_overflow(a, b, &out)) return std::nullopt;
-  return out;
-}
-
 /// Overflow-checked int64 multiplication; nullopt on overflow.
 [[nodiscard]] inline std::optional<std::int64_t> checked_mul(
     std::int64_t a, std::int64_t b) noexcept {

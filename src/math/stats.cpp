@@ -18,8 +18,6 @@ double RunningStats::variance() const noexcept {
   return n_ < 2 ? 0.0 : m2_ / static_cast<double>(n_ - 1);
 }
 
-double RunningStats::stddev() const noexcept { return std::sqrt(variance()); }
-
 void RunningStats::merge(const RunningStats& other) noexcept {
   if (other.n_ == 0) return;
   if (n_ == 0) {

@@ -13,7 +13,6 @@ class RunningStats {
   [[nodiscard]] std::uint64_t count() const noexcept { return n_; }
   [[nodiscard]] double mean() const noexcept { return n_ == 0 ? 0.0 : mean_; }
   [[nodiscard]] double variance() const noexcept;
-  [[nodiscard]] double stddev() const noexcept;
   [[nodiscard]] double min() const noexcept { return min_; }
   [[nodiscard]] double max() const noexcept { return max_; }
 

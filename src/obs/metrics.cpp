@@ -326,11 +326,4 @@ std::string MetricsRegistry::json_snapshot() const {
   return out;
 }
 
-void MetricsRegistry::reset_for_tests() {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  counters_.clear();
-  gauges_.clear();
-  histograms_.clear();
-}
-
 }  // namespace reconf::obs

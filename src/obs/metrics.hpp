@@ -215,10 +215,6 @@ class MetricsRegistry {
   /// The NDJSON `stats` response embeds this verbatim.
   [[nodiscard]] std::string json_snapshot() const;
 
-  /// Drops every registered metric. Outstanding handles dangle — strictly
-  /// a test-isolation helper, never called while writers are live.
-  void reset_for_tests();
-
  private:
   mutable std::mutex mutex_;
   std::map<std::string, std::unique_ptr<Counter>> counters_;

@@ -42,11 +42,6 @@ struct ReconfCostModel {
     return fixed == 0 && per_column == 0;
   }
 
-  /// The paper's per-column-only spelling (ρ), shared by CLI flags.
-  [[nodiscard]] static constexpr ReconfCostModel per_column_only(Ticks rho) {
-    return ReconfCostModel{0, rho};
-  }
-
   friend constexpr bool operator==(const ReconfCostModel& a,
                                    const ReconfCostModel& b) noexcept {
     return a.fixed == b.fixed && a.per_column == b.per_column;

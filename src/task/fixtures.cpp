@@ -7,7 +7,6 @@
 namespace reconf::fixtures {
 
 Device paper_device_small() { return Device{10}; }
-Device paper_device_large() { return Device{100}; }
 
 TaskSet paper_table1() {
   return TaskSet({

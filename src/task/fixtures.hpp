@@ -8,9 +8,6 @@ namespace reconf::fixtures {
 /// The device used throughout Section 6's worked examples: A(H) = 10.
 [[nodiscard]] Device paper_device_small();
 
-/// The device used for the synthetic experiments (Figs. 3-4): A(H) = 100.
-[[nodiscard]] Device paper_device_large();
-
 /// Table 1 — accepted by DP, rejected by GN1 and GN2:
 ///   τ1 = (C=1.26, D=7, T=7, A=9), τ2 = (0.95, 5, 5, 6).
 [[nodiscard]] TaskSet paper_table1();

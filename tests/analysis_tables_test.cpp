@@ -9,10 +9,12 @@
 //   Table 2     reject  accept  reject
 //   Table 3     reject  reject  accept
 
+#include <utility>
+
 #include <gtest/gtest.h>
 
-#include "analysis/composite.hpp"
 #include "analysis/dp.hpp"
+#include "analysis/engine.hpp"
 #include "analysis/gn1.hpp"
 #include "analysis/gn2.hpp"
 #include "analysis/overhead.hpp"
@@ -143,33 +145,37 @@ TEST(PaperTable3, ExactPathsAgreeWithDoublePaths) {
   EXPECT_TRUE(gn2_test_exact(paper_table3(), paper_device_small()).accepted());
 }
 
-// ------------------------------------------------------------- composite --
-TEST(Composite, AcceptsAllThreePaperTables) {
+// ------------------------------------------------------ Section 6 union --
+TEST(AnyOfTrio, AcceptsAllThreePaperTables) {
   // Section 6: "determine that a taskset is unschedulable only if all tests
-  // fail" — each table is accepted by exactly one test, so the composite
-  // accepts all three.
+  // fail" — each table is accepted by exactly one test, so the default
+  // engine request accepts all three.
+  const AnalysisEngine engine{AnalysisRequest{}};
   for (const TaskSet& ts : {paper_table1(), paper_table2(), paper_table3()}) {
-    const auto r = composite_test(ts, paper_device_small());
-    EXPECT_TRUE(r.accepted());
+    EXPECT_TRUE(engine.run(ts, paper_device_small()).accepted());
   }
 }
 
-TEST(Composite, ReportsWhichTestAccepted) {
-  EXPECT_EQ(composite_test(paper_table1(), paper_device_small()).accepted_by(),
-            "DP");
-  EXPECT_EQ(composite_test(paper_table2(), paper_device_small()).accepted_by(),
-            "GN1");
-  EXPECT_EQ(composite_test(paper_table3(), paper_device_small()).accepted_by(),
-            "GN2");
+TEST(AnyOfTrio, ReportsWhichTestAccepted) {
+  const AnalysisEngine engine{AnalysisRequest{}};
+  EXPECT_EQ(engine.run(paper_table1(), paper_device_small()).accepted_by(),
+            "dp");
+  EXPECT_EQ(engine.run(paper_table2(), paper_device_small()).accepted_by(),
+            "gn1");
+  EXPECT_EQ(engine.run(paper_table3(), paper_device_small()).accepted_by(),
+            "gn2");
 }
 
-TEST(Composite, FkfModeExcludesGn1) {
-  // GN1 is only sound for EDF-NF; the EDF-FkF composite must not use it,
-  // so Table 2 (accepted only by GN1) becomes inconclusive.
-  const auto r = composite_test(paper_table2(), paper_device_small(), {},
-                                /*for_fkf=*/true);
+TEST(AnyOfTrio, FkfModeExcludesGn1) {
+  // GN1 is only sound for EDF-NF; the EDF-FkF engine must not use it, so
+  // Table 2 (accepted only by GN1) becomes inconclusive after DP and GN2.
+  AnalysisRequest request;
+  request.scheduler = Scheduler::kEdfFkF;
+  const AnalysisEngine engine(std::move(request));
+  const auto r = engine.run(paper_table2(), paper_device_small());
   EXPECT_FALSE(r.accepted());
-  EXPECT_EQ(r.sub_reports.size(), 2u);
+  ASSERT_EQ(r.outcomes.size(), 2u);
+  for (const auto& o : r.outcomes) EXPECT_TRUE(o.ran) << o.id;
 }
 
 // ------------------------------------------------------ variant behaviour --

@@ -1,11 +1,13 @@
 // Directed coverage of the option matrix of the three tests: every variant
 // flag documented in DESIGN.md §2 is exercised against hand-computed
-// expectations, plus composite-option toggles and diagnostic contracts.
+// expectations, plus engine lineup/option toggles and diagnostic contracts.
+
+#include <utility>
 
 #include <gtest/gtest.h>
 
-#include "analysis/composite.hpp"
 #include "analysis/dp.hpp"
+#include "analysis/engine.hpp"
 #include "analysis/gn1.hpp"
 #include "analysis/gn2.hpp"
 #include "task/fixtures.hpp"
@@ -151,43 +153,32 @@ TEST(Gn2Variants, SaturatedLambdaCandidatesAreSkipped) {
   EXPECT_EQ(*r.first_failing_task, 0u);
 }
 
-// --------------------------------------------------------- composite opts --
-TEST(CompositeVariants, DisabledMembersAreSkipped) {
-  CompositeOptions only_gn2;
-  only_gn2.use_dp = false;
-  only_gn2.use_gn1 = false;
-  const auto r =
-      composite_test(paper_table1(), paper_device_small(), only_gn2);
-  EXPECT_EQ(r.sub_reports.size(), 1u);
-  EXPECT_EQ(r.sub_reports[0].test_name, "GN2");
+// ----------------------------------------------------------- engine opts --
+TEST(EngineVariants, DisabledMembersAreSkipped) {
+  AnalysisRequest only_gn2;
+  only_gn2.tests = {"gn2"};
+  const auto r = AnalysisEngine(std::move(only_gn2))
+                     .run(paper_table1(), paper_device_small());
+  ASSERT_EQ(r.outcomes.size(), 1u);
+  EXPECT_EQ(r.outcomes[0].report.test_name, "GN2");
   EXPECT_FALSE(r.accepted());  // Table 1 is only DP-accepted
 }
 
-TEST(CompositeVariants, MemberOptionsPropagate) {
-  CompositeOptions printed;
-  printed.gn2.non_strict_condition2 = true;
-  printed.use_dp = false;
-  printed.use_gn1 = false;
-  // With the printed '≤' GN2 accepts Table 1 in exact arithmetic; in the
-  // double path the tolerance-guarded strict comparison stays rejecting,
-  // so toggle through the option to confirm it reaches the evaluator.
-  CompositeOptions gn2_only;
-  gn2_only.use_dp = false;
-  gn2_only.use_gn1 = false;
-  const auto strict =
-      composite_test(paper_table1(), paper_device_small(), gn2_only);
-  EXPECT_FALSE(strict.accepted());
-  // (Exact-path behaviour of the printed inequality is covered in
-  // analysis_tables_test.)
-}
-
-TEST(CompositeVariants, EmptyLineupIsInconclusive) {
-  CompositeOptions none;
-  none.use_dp = none.use_gn1 = none.use_gn2 = false;
-  const auto r = composite_test(paper_table3(), paper_device_small(), none);
-  EXPECT_FALSE(r.accepted());
-  EXPECT_TRUE(r.sub_reports.empty());
-  EXPECT_TRUE(r.accepted_by().empty());
+TEST(EngineVariants, MemberOptionsPropagate) {
+  // The BCL window normalization flips GN1's Table 1 verdict (see
+  // Variants.Gn1BclWindowNormalizationChangesTable1Verdict in
+  // analysis_tables_test); through the engine the flip proves the option
+  // reaches the evaluator.
+  AnalysisRequest published;
+  published.tests = {"gn1"};
+  AnalysisRequest bcl = published;
+  bcl.config.gn1.normalization = Gn1Options::Normalization::kBclWindowDk;
+  EXPECT_FALSE(AnalysisEngine(std::move(published))
+                   .run(paper_table1(), paper_device_small())
+                   .accepted());
+  EXPECT_TRUE(AnalysisEngine(std::move(bcl))
+                  .run(paper_table1(), paper_device_small())
+                  .accepted());
 }
 
 }  // namespace

@@ -1,12 +1,16 @@
 #include <atomic>
+#include <cstdint>
 #include <cstdlib>
+#include <limits>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/env.hpp"
+#include "common/flags.hpp"
 #include "common/thread_pool.hpp"
 #include "common/types.hpp"
 
@@ -99,6 +103,73 @@ TEST(Env, Int64RejectsGarbage) {
   ::setenv("RECONF_TEST_KNOB", "12x", 1);
   EXPECT_EQ(env_int64("RECONF_TEST_KNOB", 7), 7);
   ::unsetenv("RECONF_TEST_KNOB");
+}
+
+TEST(Flags, ParseIntReadsDecimalAndHexNeverOctal) {
+  EXPECT_EQ(parse_int<int>("42"), 42);
+  EXPECT_EQ(parse_int<int>("-42"), -42);
+  EXPECT_EQ(parse_int<int>("+7"), 7);
+  EXPECT_EQ(parse_int<std::uint64_t>("0xC4A05"), 0xC4A05u);
+  EXPECT_EQ(parse_int<std::uint64_t>("0XFFFFFFFFFFFFFFFF"),
+            std::numeric_limits<std::uint64_t>::max());
+  EXPECT_EQ(parse_int<int>("010"), 10);
+  EXPECT_EQ(parse_int<int>("0"), 0);
+  EXPECT_EQ(parse_int<long long>("-9223372036854775808"),
+            std::numeric_limits<long long>::min());
+}
+
+TEST(Flags, ParseIntRejectsPartialAndOutOfRangeValues) {
+  for (const char* bad : {"", "abc", "12abc", "1 ", " 1", "0x", "0xg", "--1",
+                          "+-1", "1.5", "2147483648"}) {
+    EXPECT_FALSE(parse_int<int>(bad).has_value()) << bad;
+  }
+  EXPECT_FALSE(parse_int<int>("-2147483649").has_value());
+  EXPECT_FALSE(parse_int<std::uint64_t>("-1").has_value());
+  EXPECT_FALSE(parse_int<std::uint16_t>("65536").has_value());
+  EXPECT_FALSE(parse_int<std::uint64_t>("0x10000000000000000").has_value());
+}
+
+TEST(Flags, StrAndHasFlagMatchWholeNames) {
+  const std::vector<std::string> args = {"--seed=3", "--seeds=9", "--quick",
+                                         "--out=", "file", "--seed=4"};
+  EXPECT_EQ(flag_str(args, "seed"), "3");  // the first occurrence wins
+  EXPECT_EQ(flag_str(args, "seeds"), "9");
+  EXPECT_EQ(flag_str(args, "out"), "");    // present with an empty value
+  EXPECT_FALSE(flag_str(args, "se").has_value());
+  EXPECT_FALSE(flag_str(args, "quick").has_value());
+  EXPECT_TRUE(has_flag(args, "quick"));
+  EXPECT_FALSE(has_flag(args, "seed"));
+  EXPECT_FALSE(has_flag(args, "qui"));
+}
+
+TEST(Flags, IntAndDoubleReadValuesAndDefaults) {
+  const std::vector<std::string> args = {"--n=0x10", "--us=2.5e1"};
+  EXPECT_EQ(flag_int<int>(args, "n"), 16);
+  EXPECT_EQ(flag_int<int>(args, "n", 16), 16);
+  EXPECT_FALSE(flag_int<int>(args, "width").has_value());
+  EXPECT_DOUBLE_EQ(flag_double(args, "us").value(), 25.0);
+  EXPECT_FALSE(flag_double(args, "rho").has_value());
+}
+
+TEST(FlagsDeathTest, BadValueExitsTwoNamingTheFlag) {
+  const std::vector<std::string> args = {"--n=12abc", "--width=0",
+                                         "--us=nan", "--seed=-1"};
+  EXPECT_EXIT((void)flag_int<int>(args, "n"), ::testing::ExitedWithCode(2),
+              "invalid value for --n: '12abc'");
+  EXPECT_EXIT((void)flag_int<int>(args, "width", 1),
+              ::testing::ExitedWithCode(2), "invalid value for --width: '0'");
+  EXPECT_EXIT((void)flag_double(args, "us"), ::testing::ExitedWithCode(2),
+              "invalid value for --us: 'nan'");
+  EXPECT_EXIT((void)flag_int<std::uint64_t>(args, "seed"),
+              ::testing::ExitedWithCode(2), "invalid value for --seed: '-1'");
+}
+
+TEST(Flags, KnownFlagMatchesValueAndBareEntries) {
+  EXPECT_TRUE(known_flag("--seed=1", {"--seed=", "--emit"}));
+  EXPECT_TRUE(known_flag("--emit", {"--seed=", "--emit"}));
+  EXPECT_FALSE(known_flag("--emit=1", {"--seed=", "--emit"}));
+  EXPECT_FALSE(known_flag("--seed", {"--seed=", "--emit"}));
+  EXPECT_FALSE(known_flag("--seeds=1", {"--seed=", "--emit"}));
 }
 
 }  // namespace

@@ -1,9 +1,8 @@
 // Tests for the Analyzer registry and the AnalysisEngine: registration
 // rules, capability filtering, deterministic cheapest-first ordering,
-// configuration fingerprints — and the parity suite proving the engine (and
-// the composite_test shim layered on it) bit-identical to the legacy
-// hard-wired DP/GN1/GN2 composite across generated tasksets under every
-// option combination.
+// configuration fingerprints — and the parity suite proving the engine
+// bit-identical to direct, hard-wired DP/GN1/GN2 calls across generated
+// tasksets under every option combination.
 
 #include <algorithm>
 #include <cmath>
@@ -15,12 +14,10 @@
 
 #include <gtest/gtest.h>
 
-#include "analysis/composite.hpp"
 #include "analysis/dp.hpp"
 #include "analysis/engine.hpp"
 #include "analysis/gn1.hpp"
 #include "analysis/gn2.hpp"
-#include "analysis/hash.hpp"
 #include "analysis/registry.hpp"
 #include "gen/generator.hpp"
 #include "gen/rng.hpp"
@@ -37,8 +34,6 @@ using analysis::Analyzer;
 using analysis::AnalyzerConfig;
 using analysis::AnalyzerRegistry;
 using analysis::Capabilities;
-using analysis::CompositeOptions;
-using analysis::CompositeReport;
 using analysis::CostClass;
 using analysis::Scheduler;
 using analysis::TestReport;
@@ -344,33 +339,52 @@ TEST(EngineFingerprint, SchedulerFilterFoldedViaSelection) {
   EXPECT_EQ(fp(fkf), fp(dp_gn2));
 }
 
-TEST(EngineFingerprint, LegacyOptionsFingerprintMatchesEngine) {
-  const CompositeOptions options;
-  for (const bool for_fkf : {false, true}) {
-    const AnalysisEngine engine(
-        analysis::request_from_composite(options, for_fkf));
-    EXPECT_EQ(analysis::options_fingerprint(options, for_fkf),
-              engine.fingerprint());
-  }
-}
-
 // ------------------------------------------------------- parity suite ----
 
-/// The pre-engine composite_test, reimplemented verbatim from PR 1 — the
-/// reference the engine (and the shim now layered on it) must match
-/// bit-for-bit.
-CompositeReport legacy_composite(const TaskSet& ts, Device device,
-                                 const CompositeOptions& options,
-                                 bool for_fkf) {
-  CompositeReport out;
-  if (options.use_dp) {
-    out.sub_reports.push_back(analysis::dp_test(ts, device, options.dp));
+/// One hard-wired DP/GN1/GN2 configuration: which of the three run, their
+/// options, and whether the EDF-FkF restriction drops GN1.
+struct TrioConfig {
+  bool use_dp = true;
+  bool use_gn1 = true;
+  bool use_gn2 = true;
+  AnalyzerConfig config;
+  bool for_fkf = false;
+
+  /// The engine spelling of the same configuration: every selected test
+  /// runs (no early exit), FkF as the capability filter.
+  [[nodiscard]] AnalysisRequest request() const {
+    AnalysisRequest r;
+    r.tests.clear();
+    if (use_dp) r.tests.emplace_back("dp");
+    if (use_gn1) r.tests.emplace_back("gn1");
+    if (use_gn2) r.tests.emplace_back("gn2");
+    if (for_fkf) r.scheduler = Scheduler::kEdfFkF;
+    r.config = config;
+    r.early_exit = false;
+    r.measure = false;
+    return r;
   }
-  if (options.use_gn1 && !for_fkf) {
-    out.sub_reports.push_back(analysis::gn1_test(ts, device, options.gn1));
+};
+
+/// Union verdict and per-test reports of the direct calls.
+struct TrioReport {
+  Verdict verdict = Verdict::kInconclusive;
+  std::vector<TestReport> sub_reports;
+};
+
+/// The pre-engine composite: direct dp_test/gn1_test/gn2_test calls in
+/// cost order — the reference the engine must match bit-for-bit.
+TrioReport direct_trio(const TaskSet& ts, Device device,
+                       const TrioConfig& c) {
+  TrioReport out;
+  if (c.use_dp) {
+    out.sub_reports.push_back(analysis::dp_test(ts, device, c.config.dp));
   }
-  if (options.use_gn2) {
-    out.sub_reports.push_back(analysis::gn2_test(ts, device, options.gn2));
+  if (c.use_gn1 && !c.for_fkf) {
+    out.sub_reports.push_back(analysis::gn1_test(ts, device, c.config.gn1));
+  }
+  if (c.use_gn2) {
+    out.sub_reports.push_back(analysis::gn2_test(ts, device, c.config.gn2));
   }
   for (const TestReport& r : out.sub_reports) {
     if (r.accepted()) {
@@ -403,8 +417,8 @@ void expect_reports_identical(const TestReport& a, const TestReport& b) {
 
 /// ≥1k generated tasksets (mixed sizes and loads, implicit and constrained
 /// deadlines) × every use-flag combination × for_fkf × option variants:
-/// engine verdicts, shim verdicts and the legacy composite must agree
-/// bit-for-bit, and early-exit must never change a verdict.
+/// engine verdicts and the direct calls must agree bit-for-bit, and
+/// early-exit must never change a verdict.
 TEST(EngineParity, BitIdenticalToLegacyCompositeAcrossGeneratedTasksets) {
   const Device dev{100};
 
@@ -434,41 +448,42 @@ TEST(EngineParity, BitIdenticalToLegacyCompositeAcrossGeneratedTasksets) {
 
   // All 8 use-flag combinations under default knobs, plus the non-default
   // per-test knob variants with the full trio enabled.
-  std::vector<CompositeOptions> configs;
+  std::vector<TrioConfig> configs;
   for (int mask = 0; mask < 8; ++mask) {
-    CompositeOptions o;
+    TrioConfig o;
     o.use_dp = (mask & 1) != 0;
     o.use_gn1 = (mask & 2) != 0;
     o.use_gn2 = (mask & 4) != 0;
     configs.push_back(o);
   }
   {
-    CompositeOptions o;
-    o.dp.alpha = analysis::DpOptions::Alpha::kOriginalReal;
-    o.dp.require_implicit_deadlines = false;
+    TrioConfig o;
+    o.config.dp.alpha = analysis::DpOptions::Alpha::kOriginalReal;
+    o.config.dp.require_implicit_deadlines = false;
     configs.push_back(o);
-    CompositeOptions g1;
-    g1.gn1.normalization = analysis::Gn1Options::Normalization::kBclWindowDk;
-    g1.gn1.rhs = analysis::Gn1Options::Rhs::kTheoremLiteral;
+    TrioConfig g1;
+    g1.config.gn1.normalization =
+        analysis::Gn1Options::Normalization::kBclWindowDk;
+    g1.config.gn1.rhs = analysis::Gn1Options::Rhs::kTheoremLiteral;
     configs.push_back(g1);
-    CompositeOptions g2;
-    g2.gn2.non_strict_condition2 = true;
-    g2.gn2.bak2_middle_branch = true;
+    TrioConfig g2;
+    g2.config.gn2.non_strict_condition2 = true;
+    g2.config.gn2.bak2_middle_branch = true;
     configs.push_back(g2);
   }
 
   std::uint64_t compared = 0;
-  for (const CompositeOptions& options : configs) {
+  for (TrioConfig options : configs) {
     for (const bool for_fkf : {false, true}) {
-      const auto request = analysis::request_from_composite(options, for_fkf);
+      options.for_fkf = for_fkf;
+      const AnalysisRequest request = options.request();
       const AnalysisEngine engine(request);
       AnalysisRequest eager = request;
       eager.early_exit = true;
       const AnalysisEngine eager_engine(std::move(eager));
 
       for (const TaskSet& ts : tasksets) {
-        const CompositeReport expected =
-            legacy_composite(ts, dev, options, for_fkf);
+        const TrioReport expected = direct_trio(ts, dev, options);
 
         // Engine path.
         const auto report = engine.run(ts, dev);
@@ -481,17 +496,6 @@ TEST(EngineParity, BitIdenticalToLegacyCompositeAcrossGeneratedTasksets) {
           ++ran;
         }
         ASSERT_EQ(ran, expected.sub_reports.size());
-
-        // Shim path.
-        const CompositeReport shim =
-            analysis::composite_test(ts, dev, options, for_fkf);
-        ASSERT_EQ(shim.verdict, expected.verdict);
-        ASSERT_EQ(shim.accepted_by(), expected.accepted_by());
-        ASSERT_EQ(shim.sub_reports.size(), expected.sub_reports.size());
-        for (std::size_t i = 0; i < shim.sub_reports.size(); ++i) {
-          expect_reports_identical(shim.sub_reports[i],
-                                   expected.sub_reports[i]);
-        }
 
         // Early exit: same verdict and accepting analyzer, by construction.
         const auto fast = eager_engine.run(ts, dev);
@@ -507,16 +511,16 @@ TEST(EngineParity, BitIdenticalToLegacyCompositeAcrossGeneratedTasksets) {
 }
 
 TEST(EngineParity, PaperTablesAcceptedByMatchesLegacyNames) {
-  // The shim keeps the legacy test_name-based accepted_by ("DP"/"GN1"/
-  // "GN2") while the engine reports registry ids — both must point at the
-  // same analyzer for the paper's Table 3.
+  // The engine reports registry ids while each TestReport keeps the
+  // paper's test name ("DP"/"GN1"/"GN2") — both must point at the same
+  // analyzer for the paper's Table 3.
   const TaskSet ts = table3_taskset();
   const Device dev{10};
-  const auto shim = analysis::composite_test(ts, dev);
   const AnalysisEngine engine{AnalysisRequest{}};
   const auto report = engine.run(ts, dev);
-  EXPECT_EQ(shim.accepted_by(), "GN2");
   EXPECT_EQ(report.accepted_by(), "gn2");
+  ASSERT_NE(report.report_for("gn2"), nullptr);
+  EXPECT_EQ(report.report_for("gn2")->test_name, "GN2");
 }
 
 }  // namespace

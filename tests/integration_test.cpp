@@ -7,7 +7,20 @@
 
 #include <gtest/gtest.h>
 
-#include "reconf/reconf.hpp"
+#include "analysis/dp.hpp"
+#include "analysis/engine.hpp"
+#include "analysis/gn1.hpp"
+#include "analysis/gn2.hpp"
+#include "exp/series.hpp"
+#include "exp/sweep.hpp"
+#include "gen/generator.hpp"
+#include "gen/rng.hpp"
+#include "mp/mp_tests.hpp"
+#include "partition/partitioned.hpp"
+#include "placement/column_map.hpp"
+#include "sim/engine.hpp"
+#include "task/fixtures.hpp"
+#include "task/io.hpp"
 
 namespace reconf {
 namespace {
@@ -29,18 +42,20 @@ TEST(Integration, GlobalEdfBeatsPartitioningOnStaggeredSet) {
 }
 
 TEST(Integration, PartitionedWinsOnTable2WhileFkFBoundsFail) {
-  // Paper Table 2 under the EDF-FkF-sound composite (DP+GN2) is
+  // Paper Table 2 under the EDF-FkF-sound analyzers (DP+GN2) is
   // inconclusive, but partitioning proves it schedulable — the two
   // approaches are incomparable, as the paper notes citing Danne RAW'06.
   const TaskSet ts = fixtures::paper_table2();
   const Device dev = fixtures::paper_device_small();
-  EXPECT_FALSE(analysis::composite_test(ts, dev, {}, /*for_fkf=*/true)
-                   .accepted());
+  analysis::AnalysisRequest fkf = analysis::fast_any_request();
+  fkf.scheduler = analysis::Scheduler::kEdfFkF;
+  EXPECT_FALSE(analysis::AnalysisEngine(fkf).run(ts, dev).accepted());
   EXPECT_TRUE(partition::partitioned_schedulable(ts, dev));
 }
 
 TEST(Integration, GeneratedAcceptedTasksetSurvivesFullPipeline) {
   const Device dev{100};
+  const analysis::AnalysisEngine any(analysis::fast_any_request());
   int verified = 0;
   for (std::uint64_t seed = 0; seed < 40 && verified < 5; ++seed) {
     gen::GenRequest req;
@@ -49,8 +64,7 @@ TEST(Integration, GeneratedAcceptedTasksetSurvivesFullPipeline) {
     req.seed = seed;
     const auto ts = gen::generate_with_retries(req);
     if (!ts) continue;
-    const auto verdict = analysis::composite_test(*ts, dev);
-    if (!verdict.accepted()) continue;
+    if (!any.run(*ts, dev).accepted()) continue;
     ++verified;
 
     // Round-trip through the text format, then simulate the parsed copy.

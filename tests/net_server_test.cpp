@@ -32,7 +32,6 @@
 
 #include <gtest/gtest.h>
 
-#include "analysis/composite.hpp"
 #include "net/poller.hpp"
 #include "net/server.hpp"
 #include "net/spsc_ring.hpp"

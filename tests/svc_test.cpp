@@ -16,7 +16,7 @@
 
 #include <gtest/gtest.h>
 
-#include "analysis/composite.hpp"
+#include "analysis/engine.hpp"
 #include "analysis/hash.hpp"
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
@@ -168,8 +168,9 @@ TEST(ShardCache, ZeroCapacityDisablesCaching) {
 
 // ------------------------------------------------------------ session ----
 
-TEST(AdmissionSession, MatchesDirectCompositeTest) {
+TEST(AdmissionSession, MatchesDirectEngineRun) {
   const Device dev{10};
+  const analysis::AnalysisEngine any(analysis::fast_any_request());
   svc::AdmissionSession session(dev);
   const auto ts = table3_taskset();
 
@@ -177,8 +178,7 @@ TEST(AdmissionSession, MatchesDirectCompositeTest) {
   for (const Task& t : ts) {
     std::vector<Task> trial = admitted_so_far;
     trial.push_back(t);
-    const bool expect =
-        analysis::composite_test(TaskSet(trial), dev).accepted();
+    const bool expect = any.run(TaskSet(trial), dev).accepted();
     const auto decision = session.try_admit(t);
     EXPECT_EQ(decision.admitted, expect);
     EXPECT_FALSE(decision.cache_hit);

@@ -36,7 +36,9 @@
 // back with freshly computed #expect lines — the file's own configs, or
 // --configs when given. Refuses to pin a run that fails the checks.
 //
-// Exit status: 0 clean, 1 failures, 2 usage/parse.
+// Integer values are decimal or 0x hex (a leading zero is still decimal).
+// Exit status: 0 clean, 1 failures, 2 usage/parse (a bad flag value
+// included).
 
 #include <cstdint>
 #include <cstdio>
@@ -47,6 +49,7 @@
 #include <string>
 #include <vector>
 
+#include "common/flags.hpp"
 #include "fault/chaos.hpp"
 #include "fault/plan.hpp"
 #include "gen/rng.hpp"
@@ -73,43 +76,6 @@ int usage() {
       "                    [--configs=A/P,...]\n"
       "see the header of tools/reconf_chaos.cpp for details\n");
   return 2;
-}
-
-std::optional<long long> flag_int(const std::vector<std::string>& args,
-                                  const std::string& name) {
-  const std::string prefix = "--" + name + "=";
-  for (const std::string& a : args) {
-    if (a.rfind(prefix, 0) == 0) {
-      const std::string value = a.substr(prefix.size());
-      try {
-        std::size_t used = 0;
-        const long long parsed = std::stoll(value, &used, 0);  // 0x ok
-        if (used == value.size()) return parsed;
-      } catch (const std::exception&) {
-      }
-      std::fprintf(stderr, "invalid value for --%s: '%s'\n", name.c_str(),
-                   value.c_str());
-      std::exit(2);
-    }
-  }
-  return std::nullopt;
-}
-
-std::string flag_str(const std::vector<std::string>& args,
-                     const std::string& name) {
-  const std::string prefix = "--" + name + "=";
-  for (const std::string& a : args) {
-    if (a.rfind(prefix, 0) == 0) return a.substr(prefix.size());
-  }
-  return {};
-}
-
-bool has_flag(const std::vector<std::string>& args, const std::string& name) {
-  const std::string bare = "--" + name;
-  for (const std::string& a : args) {
-    if (a == bare) return true;
-  }
-  return false;
 }
 
 /// Decodes a "<overrun-action>/<prefetch>" chaos config string.
@@ -233,7 +199,7 @@ int run_replay(const std::vector<std::string>& paths) {
 }
 
 int run_emit(const std::vector<std::string>& args) {
-  const std::string family = flag_str(args, "family");
+  const std::string family = flag_str(args, "family").value_or("");
   rt::ScenarioGenOptions gen;
   if (family == "steady") {
     gen.family = rt::ScenarioFamily::kSteady;
@@ -245,25 +211,25 @@ int run_emit(const std::vector<std::string>& args) {
     std::fprintf(stderr, "--emit needs --family=steady|churn|reconf-heavy\n");
     return usage();
   }
-  gen.seed = static_cast<std::uint64_t>(flag_int(args, "seed").value_or(0));
-  gen.arrivals = static_cast<int>(flag_int(args, "arrivals").value_or(6));
-  gen.device.width = static_cast<Area>(flag_int(args, "device").value_or(100));
+  gen.seed = flag_int<std::uint64_t>(args, "seed").value_or(0);
+  gen.arrivals = flag_int<int>(args, "arrivals", 1).value_or(6);
+  gen.device.width = flag_int<Area>(args, "device", 1).value_or(100);
 
   fault::ChaosCase c;
   c.scenario = rt::generate_scenario(gen);
-  if (const auto rho = flag_int(args, "rho")) {
-    c.scenario.reconf.per_column = static_cast<Ticks>(*rho);
+  if (const auto rho = flag_int<Ticks>(args, "rho", 0)) {
+    c.scenario.reconf.per_column = *rho;
   }
 
   fault::FaultPlanGenOptions plan_gen;
   plan_gen.horizon = c.scenario.horizon;
   plan_gen.names = arrival_names(c.scenario);
-  plan_gen.faults = static_cast<int>(flag_int(args, "faults").value_or(6));
+  plan_gen.faults = flag_int<int>(args, "faults", 0).value_or(6);
   plan_gen.seed = gen.seed;
   c.plan = fault::generate_fault_plan(plan_gen);
   c.plan.name = family + "-" + std::to_string(gen.seed);
 
-  std::string configs = flag_str(args, "configs");
+  std::string configs = flag_str(args, "configs").value_or("");
   if (configs.empty()) configs = "abort/none,skip/static,degrade/hybrid";
   std::istringstream list(configs);
   std::string one;
@@ -305,7 +271,7 @@ int run_pin(const std::string& path, const std::vector<std::string>& args) {
   // Re-pin the file's own configs, or --configs when given (also the way a
   // hand-written case without #expect lines gets its first pins).
   std::vector<std::string> configs;
-  const std::string override = flag_str(args, "configs");
+  const std::string override = flag_str(args, "configs").value_or("");
   if (!override.empty()) {
     std::istringstream list(override);
     std::string one;
@@ -340,13 +306,11 @@ int run_pin(const std::string& path, const std::vector<std::string>& args) {
 
 int run_matrix(const std::vector<std::string>& args) {
   const long long count = flag_int(args, "count").value_or(200);
-  const auto seed =
-      static_cast<std::uint64_t>(flag_int(args, "seed").value_or(0));
-  const int arrivals = static_cast<int>(flag_int(args, "arrivals").value_or(6));
-  const auto width =
-      static_cast<Area>(flag_int(args, "device").value_or(100));
-  const int faults = static_cast<int>(flag_int(args, "faults").value_or(6));
-  const std::string corpus_dir = flag_str(args, "corpus-dir");
+  const auto seed = flag_int<std::uint64_t>(args, "seed").value_or(0);
+  const int arrivals = flag_int<int>(args, "arrivals").value_or(6);
+  const Area width = flag_int<Area>(args, "device").value_or(100);
+  const int faults = flag_int<int>(args, "faults").value_or(6);
+  const std::string corpus_dir = flag_str(args, "corpus-dir").value_or("");
   if (count <= 0 || count > 10'000'000 || arrivals <= 0 || faults < 0 ||
       width <= 0) {
     return usage();
@@ -458,19 +422,9 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
     if (a.rfind("--", 0) == 0) {
-      static const char* known[] = {"--count=",  "--seed=",    "--arrivals=",
-                                    "--device=", "--faults=",  "--corpus-dir=",
-                                    "--replay=", "--emit",     "--family=",
-                                    "--rho=",    "--configs=", "--pin="};
-      bool ok = false;
-      for (const char* k : known) {
-        const std::string key = k;
-        if (key.back() == '=' ? a.rfind(key, 0) == 0 : a == key) {
-          ok = true;
-          break;
-        }
-      }
-      if (!ok) {
+      if (!known_flag(a, {"--count=", "--seed=", "--arrivals=", "--device=",
+                          "--faults=", "--corpus-dir=", "--replay=", "--emit",
+                          "--family=", "--rho=", "--configs=", "--pin="})) {
         std::fprintf(stderr, "unknown flag: %s\n", a.c_str());
         return usage();
       }
@@ -484,7 +438,7 @@ int main(int argc, char** argv) {
       replay_paths.push_back(a);
     }
   }
-  const std::string pin = flag_str(args, "pin");
+  const std::string pin = flag_str(args, "pin").value_or("");
   if (!pin.empty()) return run_pin(pin, args);
   if (!replay_paths.empty()) return run_replay(replay_paths);
   if (has_flag(args, "emit")) return run_emit(args);

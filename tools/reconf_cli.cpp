@@ -16,16 +16,27 @@
 //
 // Taskset file format: see task/io.hpp (also produced by `generate`).
 
+#include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
-#include "reconf/reconf.hpp"
+#include "analysis/dp.hpp"
+#include "analysis/engine.hpp"
+#include "analysis/gn1.hpp"
+#include "analysis/gn2.hpp"
+#include "analysis/registry.hpp"
+#include "analysis/sensitivity.hpp"
+#include "common/flags.hpp"
+#include "gen/generator.hpp"
+#include "partition/partitioned.hpp"
+#include "sim/engine.hpp"
+#include "task/io.hpp"
 
 namespace {
 
@@ -36,23 +47,6 @@ int usage() {
                "usage: reconf_cli <analyze|simulate|generate|width> ...\n"
                "see the header of tools/reconf_cli.cpp for all flags\n");
   return 2;
-}
-
-std::optional<std::string> flag_value(const std::vector<std::string>& args,
-                                      const std::string& name) {
-  const std::string prefix = "--" + name + "=";
-  for (const std::string& a : args) {
-    if (a.rfind(prefix, 0) == 0) return a.substr(prefix.size());
-  }
-  return std::nullopt;
-}
-
-bool has_flag(const std::vector<std::string>& args, const std::string& name) {
-  const std::string bare = "--" + name;
-  for (const std::string& a : args) {
-    if (a == bare) return true;
-  }
-  return false;
 }
 
 std::optional<io::ParsedTaskSet> load(const std::string& path) {
@@ -95,9 +89,9 @@ int cmd_analyze(const std::vector<std::string>& args) {
   if (!parsed) return 1;
 
   analysis::AnalysisRequest request;  // defaults to the paper trio
-  const bool explicit_tests = flag_value(args, "tests").has_value();
-  if (const auto t = flag_value(args, "tests")) {
-    request.tests = analysis::split_id_list(*t);
+  const auto tests = flag_str(args, "tests");
+  if (tests) {
+    request.tests = analysis::split_id_list(*tests);
     if (request.tests.empty()) {
       std::fprintf(
           stderr, "--tests needs at least one analyzer id; registered: %s\n",
@@ -135,7 +129,7 @@ int cmd_analyze(const std::vector<std::string>& args) {
               report.accepted() ? "SCHEDULABLE" : "inconclusive",
               report.accepted() ? " via " : "",
               report.accepted_by().c_str());
-  if (!explicit_tests) {
+  if (!tests) {
     // The partitioned baseline rides along in the default view (it is its
     // own scheduler, so it stays out of the ANY union above).
     const auto part =
@@ -153,35 +147,35 @@ int cmd_simulate(const std::vector<std::string>& args) {
   if (!parsed) return 1;
 
   sim::SimConfig cfg;
-  if (const auto s = flag_value(args, "scheduler")) {
+  if (const auto s = flag_str(args, "scheduler")) {
     if (*s == "fkf") cfg.scheduler = sim::SchedulerKind::kEdfFkF;
     else if (*s == "us") cfg.scheduler = sim::SchedulerKind::kEdfUs;
     else if (*s != "nf") return usage();
   }
-  if (const auto p = flag_value(args, "placement")) {
+  if (const auto p = flag_str(args, "placement")) {
     if (*p == "contiguous") {
       cfg.placement = sim::PlacementMode::kContiguousNoMigration;
     } else if (*p != "migrate") {
       return usage();
     }
   }
-  if (const auto s = flag_value(args, "strategy")) {
+  if (const auto s = flag_str(args, "strategy")) {
     if (*s == "best") cfg.strategy = placement::Strategy::kBestFit;
     else if (*s == "worst") cfg.strategy = placement::Strategy::kWorstFit;
     else if (*s != "first") return usage();
   }
-  if (const auto h = flag_value(args, "horizon-periods")) {
-    cfg.horizon_periods = std::stoi(*h);
+  if (const auto h = flag_int<int>(args, "horizon-periods", 1)) {
+    cfg.horizon_periods = *h;
   }
-  if (const auto r = flag_value(args, "rho")) {
-    cfg.reconf.per_column = std::stoll(*r);
+  if (const auto r = flag_int<Ticks>(args, "rho", 0)) {
+    cfg.reconf.per_column = *r;
   }
-  if (const auto a = flag_value(args, "arrivals")) {
+  if (const auto a = flag_str(args, "arrivals")) {
     if (*a == "sporadic") cfg.arrivals = sim::ArrivalModel::kSporadic;
     else if (*a != "periodic") return usage();
   }
-  if (const auto s = flag_value(args, "seed")) {
-    cfg.arrival_seed = std::stoull(*s);
+  if (const auto s = flag_int<std::uint64_t>(args, "seed")) {
+    cfg.arrival_seed = *s;
   }
   cfg.record_trace = has_flag(args, "gantt");
   cfg.check_invariants = true;
@@ -218,10 +212,9 @@ int cmd_simulate(const std::vector<std::string>& args) {
 
 int cmd_generate(const std::vector<std::string>& args) {
   gen::GenRequest req;
-  int n = 10;
-  if (const auto v = flag_value(args, "n")) n = std::stoi(*v);
+  const int n = flag_int<int>(args, "n", 1).value_or(10);
   req.profile = gen::GenProfile::unconstrained(n);
-  if (const auto v = flag_value(args, "profile")) {
+  if (const auto v = flag_str(args, "profile")) {
     if (*v == "heavy-area") {
       req.profile = gen::GenProfile::spatially_heavy_time_light(n);
     } else if (*v == "heavy-time") {
@@ -230,14 +223,12 @@ int cmd_generate(const std::vector<std::string>& args) {
       return usage();
     }
   }
-  if (const auto v = flag_value(args, "us")) {
-    req.target_system_util = std::stod(*v);
+  if (const auto v =
+          flag_double(args, "us", std::numeric_limits<double>::min())) {
+    req.target_system_util = *v;
   }
-  if (const auto v = flag_value(args, "seed")) req.seed = std::stoull(*v);
-  Area width = 100;
-  if (const auto v = flag_value(args, "width")) {
-    width = static_cast<Area>(std::stoi(*v));
-  }
+  if (const auto v = flag_int<std::uint64_t>(args, "seed")) req.seed = *v;
+  const Area width = flag_int<Area>(args, "width", 1).value_or(100);
 
   const auto ts = gen::generate_with_retries(req);
   if (!ts) {

@@ -61,6 +61,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include "common/flags.hpp"
 #include "common/report_merge.hpp"
 #include "net/poller.hpp"
 #include "svc/codec.hpp"
@@ -69,36 +70,6 @@ namespace {
 
 using namespace reconf;
 using Clock = std::chrono::steady_clock;
-
-std::optional<long long> flag_int(int argc, char** argv,
-                                  const std::string& name) {
-  const std::string prefix = "--" + name + "=";
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a.rfind(prefix, 0) == 0) {
-      const std::string value = a.substr(prefix.size());
-      try {
-        std::size_t used = 0;
-        const long long parsed = std::stoll(value, &used);
-        if (used == value.size()) return parsed;
-      } catch (const std::exception&) {
-      }
-      std::fprintf(stderr, "invalid value for --%s: '%s'\n", name.c_str(),
-                   value.c_str());
-      std::exit(2);
-    }
-  }
-  return std::nullopt;
-}
-
-std::string flag_str(int argc, char** argv, const std::string& name) {
-  const std::string prefix = "--" + name + "=";
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a.rfind(prefix, 0) == 0) return a.substr(prefix.size());
-  }
-  return {};
-}
 
 /// Request body for the g-th globally unique workload index: a 3-task set
 /// whose first task's parameters are a mixed-radix decode of the index
@@ -328,7 +299,8 @@ std::optional<double> read_baseline_rps(const std::string& path,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const long long port = flag_int(argc, argv, "port").value_or(0);
+  const std::vector<std::string> args(argv + 1, argv + argc);
+  const long long port = flag_int(args, "port").value_or(0);
   if (port <= 0 || port > 65'535) {
     std::fprintf(stderr, "usage: reconf_loadgen --port=N [--host=ADDR] "
                          "[--connections=N] [--requests=N] [--dup-ratio=PCT] "
@@ -339,23 +311,23 @@ int main(int argc, char** argv) {
     return 2;
   }
   RunConfig config;
-  config.host = flag_str(argc, argv, "host");
+  config.host = flag_str(args, "host").value_or("");
   if (config.host.empty()) config.host = "127.0.0.1";
   config.port = static_cast<std::uint16_t>(port);
   config.connections = static_cast<unsigned>(
-      std::clamp<long long>(flag_int(argc, argv, "connections").value_or(4),
+      std::clamp<long long>(flag_int(args, "connections").value_or(4),
                             1, 1024));
   config.requests = static_cast<std::uint64_t>(std::max<long long>(
-      1, flag_int(argc, argv, "requests").value_or(200'000)));
+      1, flag_int(args, "requests").value_or(200'000)));
   config.dup_pct = static_cast<unsigned>(
-      std::clamp<long long>(flag_int(argc, argv, "dup-ratio").value_or(0), 0,
+      std::clamp<long long>(flag_int(args, "dup-ratio").value_or(0), 0,
                             100));
   config.stats_every = static_cast<std::uint64_t>(
-      std::max<long long>(0, flag_int(argc, argv, "stats-every").value_or(0)));
+      std::max<long long>(0, flag_int(args, "stats-every").value_or(0)));
   config.window = static_cast<std::uint64_t>(std::clamp<long long>(
-      flag_int(argc, argv, "window").value_or(1024), 1, 1'000'000));
+      flag_int(args, "window").value_or(1024), 1, 1'000'000));
 
-  std::string label = flag_str(argc, argv, "label");
+  std::string label = flag_str(args, "label").value_or("");
   if (label.empty()) {
     label = config.dup_pct == 0 ? "uncached"
                                 : "dup" + std::to_string(config.dup_pct);
@@ -443,7 +415,7 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(p95),
       static_cast<unsigned long long>(p99));
 
-  const std::string merge_path = flag_str(argc, argv, "merge");
+  const std::string merge_path = flag_str(args, "merge").value_or("");
   if (!merge_path.empty()) {
     // Nested merge: fetch/extend the service_async section with this run's
     // label. Two passes through the shared helper keep it one-key simple:
@@ -506,11 +478,11 @@ int main(int argc, char** argv) {
                  merge_path.c_str());
   }
 
-  const std::string baseline_path = flag_str(argc, argv, "baseline");
+  const std::string baseline_path = flag_str(args, "baseline").value_or("");
   if (!baseline_path.empty()) {
     const long long tolerance =
         std::clamp<long long>(
-            flag_int(argc, argv, "baseline-tolerance").value_or(30), 0, 100);
+            flag_int(args, "baseline-tolerance").value_or(30), 0, 100);
     const std::optional<double> baseline =
         read_baseline_rps(baseline_path, label);
     if (!baseline) {

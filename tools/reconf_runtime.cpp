@@ -43,6 +43,7 @@
 #include <string>
 #include <vector>
 
+#include "common/flags.hpp"
 #include "obs/metrics.hpp"
 #include "rt/runtime.hpp"
 #include "rt/scenario.hpp"
@@ -69,43 +70,6 @@ int usage() {
   return 2;
 }
 
-std::optional<long long> flag_int(const std::vector<std::string>& args,
-                                  const std::string& name) {
-  const std::string prefix = "--" + name + "=";
-  for (const std::string& a : args) {
-    if (a.rfind(prefix, 0) == 0) {
-      const std::string value = a.substr(prefix.size());
-      try {
-        std::size_t used = 0;
-        const long long parsed = std::stoll(value, &used);
-        if (used == value.size()) return parsed;
-      } catch (const std::exception&) {
-      }
-      std::fprintf(stderr, "invalid value for --%s: '%s'\n", name.c_str(),
-                   value.c_str());
-      std::exit(2);
-    }
-  }
-  return std::nullopt;
-}
-
-std::string flag_str(const std::vector<std::string>& args,
-                     const std::string& name) {
-  const std::string prefix = "--" + name + "=";
-  for (const std::string& a : args) {
-    if (a.rfind(prefix, 0) == 0) return a.substr(prefix.size());
-  }
-  return {};
-}
-
-bool has_flag(const std::vector<std::string>& args, const std::string& name) {
-  const std::string bare = "--" + name;
-  for (const std::string& a : args) {
-    if (a == bare) return true;
-  }
-  return false;
-}
-
 void write_text_file(const std::string& path, const std::string& text,
                      const char* what) {
   if (path == "-") {
@@ -128,21 +92,11 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
     if (a.rfind("--", 0) == 0) {
-      static const char* known[] = {
-          "--policy=",     "--rho=",         "--fixed=",
-          "--generate=",   "--seed=",        "--arrivals=",
-          "--device=",     "--emit",         "--no-invariants",
-          "--no-trace",    "--gantt",        "--tasks",
-          "--admissions",  "--trace-out=",   "--metrics-out="};
-      bool ok = false;
-      for (const char* k : known) {
-        const std::string key = k;
-        if (key.back() == '=' ? a.rfind(key, 0) == 0 : a == key) {
-          ok = true;
-          break;
-        }
-      }
-      if (!ok) {
+      if (!known_flag(a, {"--policy=", "--rho=", "--fixed=", "--generate=",
+                          "--seed=", "--arrivals=", "--device=", "--emit",
+                          "--no-invariants", "--no-trace", "--gantt",
+                          "--tasks", "--admissions", "--trace-out=",
+                          "--metrics-out="})) {
         std::fprintf(stderr, "unknown flag: %s\n", a.c_str());
         return usage();
       }
@@ -155,7 +109,7 @@ int main(int argc, char** argv) {
   }
 
   rt::Scenario scenario;
-  const std::string family = flag_str(args, "generate");
+  const std::string family = flag_str(args, "generate").value_or("");
   if (!family.empty()) {
     rt::ScenarioGenOptions gen;
     if (family == "steady") {
@@ -168,10 +122,9 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "unknown scenario family: %s\n", family.c_str());
       return usage();
     }
-    gen.seed = static_cast<std::uint64_t>(flag_int(args, "seed").value_or(0));
-    gen.arrivals = static_cast<int>(flag_int(args, "arrivals").value_or(10));
-    gen.device.width =
-        static_cast<Area>(flag_int(args, "device").value_or(100));
+    gen.seed = flag_int<std::uint64_t>(args, "seed").value_or(0);
+    gen.arrivals = flag_int<int>(args, "arrivals", 1).value_or(10);
+    gen.device.width = flag_int<Area>(args, "device", 1).value_or(100);
     scenario = rt::generate_scenario(gen);
     if (has_flag(args, "emit")) {
       std::fputs(rt::format_scenario(scenario).c_str(), stdout);
@@ -201,15 +154,15 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (const auto rho = flag_int(args, "rho")) {
-    scenario.reconf.per_column = static_cast<Ticks>(*rho);
+  if (const auto rho = flag_int<Ticks>(args, "rho", 0)) {
+    scenario.reconf.per_column = *rho;
   }
-  if (const auto fixed = flag_int(args, "fixed")) {
-    scenario.reconf.fixed = static_cast<Ticks>(*fixed);
+  if (const auto fixed = flag_int<Ticks>(args, "fixed", 0)) {
+    scenario.reconf.fixed = *fixed;
   }
 
   rt::RuntimeConfig config;
-  const std::string policy = flag_str(args, "policy");
+  const std::string policy = flag_str(args, "policy").value_or("");
   if (!policy.empty()) {
     const auto kind = rt::prefetch_kind_from(policy);
     if (!kind) {
@@ -264,7 +217,7 @@ int main(int argc, char** argv) {
         stdout);
   }
 
-  const std::string trace_out = flag_str(args, "trace-out");
+  const std::string trace_out = flag_str(args, "trace-out").value_or("");
   if (!trace_out.empty()) {
     std::vector<Task> tasks;
     tasks.reserve(result.tasks.size());
@@ -273,7 +226,7 @@ int main(int argc, char** argv) {
                     sim::chrome_trace_json(result.trace, TaskSet(tasks)),
                     "trace");
   }
-  const std::string metrics_out = flag_str(args, "metrics-out");
+  const std::string metrics_out = flag_str(args, "metrics-out").value_or("");
   if (!metrics_out.empty()) {
     write_text_file(metrics_out,
                     obs::MetricsRegistry::instance().prometheus_text(),

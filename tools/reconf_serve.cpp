@@ -105,6 +105,7 @@
 
 #include "analysis/engine.hpp"
 #include "analysis/registry.hpp"
+#include "common/flags.hpp"
 #include "common/stopwatch.hpp"
 #include "net/poller.hpp"
 #include "net/server.hpp"
@@ -169,39 +170,6 @@ void validate_default_lineup(const svc::BatchOptions& options) {
   }
 }
 
-/// Returns the value of `--name=V`, nullopt when absent; exits with usage
-/// when V is not an integer (a typo'd value must not silently become the
-/// default).
-std::optional<long long> flag_int(const std::vector<std::string>& args,
-                                  const std::string& name) {
-  const std::string prefix = "--" + name + "=";
-  for (const std::string& a : args) {
-    if (a.rfind(prefix, 0) == 0) {
-      const std::string value = a.substr(prefix.size());
-      try {
-        std::size_t used = 0;
-        const long long parsed = std::stoll(value, &used);
-        if (used == value.size()) return parsed;
-      } catch (const std::exception&) {
-      }
-      std::fprintf(stderr, "invalid value for --%s: '%s'\n", name.c_str(),
-                   value.c_str());
-      std::exit(2);
-    }
-  }
-  return std::nullopt;
-}
-
-/// Returns the value of `--name=V` as a string, empty when absent.
-std::string flag_str(const std::vector<std::string>& args,
-                     const std::string& name) {
-  const std::string prefix = "--" + name + "=";
-  for (const std::string& a : args) {
-    if (a.rfind(prefix, 0) == 0) return a.substr(prefix.size());
-  }
-  return {};
-}
-
 /// Writes `text` to `path` ("-" = stderr); a failed open is reported but
 /// does not change the exit status — the verdicts already went out.
 void write_text_file(const std::string& path, const std::string& text,
@@ -218,14 +186,6 @@ void write_text_file(const std::string& path, const std::string& text,
   out << text;
 }
 
-bool has_flag(const std::vector<std::string>& args, const std::string& name) {
-  const std::string bare = "--" + name;
-  for (const std::string& a : args) {
-    if (a == bare) return true;
-  }
-  return false;
-}
-
 /// Splits `--listen=[HOST:]PORT`; false when PORT is not in [0, 65535].
 bool parse_listen(const std::string& listen, std::string& host,
                   std::uint16_t& port) {
@@ -236,15 +196,10 @@ bool parse_listen(const std::string& listen, std::string& host,
     host = listen.substr(0, colon);
     port_text = listen.substr(colon + 1);
   }
-  long long parsed = -1;
-  try {
-    std::size_t used = 0;
-    parsed = std::stoll(port_text, &used);
-    if (used != port_text.size()) parsed = -1;
-  } catch (const std::exception&) {
-  }
-  if (parsed < 0 || parsed > 65'535 || host.empty()) return false;
-  port = static_cast<std::uint16_t>(parsed);
+  const std::optional<std::uint16_t> parsed =
+      parse_int<std::uint16_t>(port_text);
+  if (!parsed || host.empty()) return false;
+  port = *parsed;
   return true;
 }
 
@@ -256,21 +211,12 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
     if (a.rfind("--", 0) == 0) {
-      static const char* known[] = {"--cache-capacity=", "--shards=",
-                                    "--tests=",          "--no-cache",
-                                    "--fkf",             "--stats",
-                                    "--explain",         "--metrics-out=",
-                                    "--trace-out=",      "--max-queue=",
-                                    "--overload=",       "--request-timeout-ms=",
-                                    "--cache-snapshot=", "--listen=",
-                                    "--io-threads=",     "--pin-cores",
-                                    "--port-file="};
-      bool ok = false;
-      for (const char* k : known) {
-        const std::string key = k;
-        ok = ok || a == key || (key.back() == '=' && a.rfind(key, 0) == 0);
-      }
-      if (!ok) {
+      if (!known_flag(a, {"--cache-capacity=", "--shards=", "--tests=",
+                          "--no-cache", "--fkf", "--stats", "--explain",
+                          "--metrics-out=", "--trace-out=", "--max-queue=",
+                          "--overload=", "--request-timeout-ms=",
+                          "--cache-snapshot=", "--listen=", "--io-threads=",
+                          "--pin-cores", "--port-file="})) {
         std::fprintf(stderr, "unknown flag: %s\n", a.c_str());
         return usage();
       }
@@ -282,7 +228,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  const std::string listen = flag_str(args, "listen");
+  const std::string listen = flag_str(args, "listen").value_or("");
   const long long cache_capacity =
       has_flag(args, "no-cache") ? 0
                                  : flag_int(args, "cache-capacity")
@@ -292,7 +238,7 @@ int main(int argc, char** argv) {
   const long long max_queue = flag_int(args, "max-queue").value_or(4096);
   const long long timeout_ms =
       flag_int(args, "request-timeout-ms").value_or(0);
-  const std::string overload = flag_str(args, "overload");
+  const std::string overload = flag_str(args, "overload").value_or("");
   if (!overload.empty() && overload != "block" && overload != "shed") {
     std::fprintf(stderr, "invalid --overload mode '%s' (block|shed)\n",
                  overload.c_str());
@@ -317,18 +263,14 @@ int main(int argc, char** argv) {
                  listen.c_str());
     return 2;
   }
-  for (const std::string& a : args) {
-    const std::string prefix = "--tests=";
-    if (a.rfind(prefix, 0) == 0) {
-      config.options.request.tests =
-          analysis::split_id_list(a.substr(prefix.size()));
-      if (config.options.request.tests.empty()) {
-        std::fprintf(stderr,
-                     "--tests needs at least one analyzer id; registered "
-                     "analyzers: %s\n",
-                     analysis::AnalyzerRegistry::instance().id_list().c_str());
-        return 2;
-      }
+  if (const auto tests = flag_str(args, "tests")) {
+    config.options.request.tests = analysis::split_id_list(*tests);
+    if (config.options.request.tests.empty()) {
+      std::fprintf(stderr,
+                   "--tests needs at least one analyzer id; registered "
+                   "analyzers: %s\n",
+                   analysis::AnalyzerRegistry::instance().id_list().c_str());
+      return 2;
     }
   }
   if (has_flag(args, "explain")) {
@@ -352,9 +294,10 @@ int main(int argc, char** argv) {
     }
   }
 
-  const std::string metrics_out = flag_str(args, "metrics-out");
-  const std::string trace_out = flag_str(args, "trace-out");
-  const std::string cache_snapshot = flag_str(args, "cache-snapshot");
+  const std::string metrics_out = flag_str(args, "metrics-out").value_or("");
+  const std::string trace_out = flag_str(args, "trace-out").value_or("");
+  const std::string cache_snapshot =
+      flag_str(args, "cache-snapshot").value_or("");
   if (!trace_out.empty()) obs::Tracer::instance().start();
 
   config.io_threads = static_cast<unsigned>(io_threads);
@@ -403,7 +346,7 @@ int main(int argc, char** argv) {
                  config.host.c_str(), static_cast<unsigned>(server.port()),
                  net::Poller().backend(), server.shard_cache_stats().size(),
                  io_threads);
-    const std::string port_file = flag_str(args, "port-file");
+    const std::string port_file = flag_str(args, "port-file").value_or("");
     if (!port_file.empty()) {
       // Scripts (the CI perf-smoke job) bind port 0 and read the real port
       // from here instead of scraping stderr.
