@@ -46,7 +46,6 @@
 #include <vector>
 
 #include "common/flags.hpp"
-#include "common/report_merge.hpp"
 #include "common/stopwatch.hpp"
 #include "fault/plan.hpp"
 #include "rt/runtime.hpp"
@@ -270,15 +269,70 @@ std::string fault_report_json(const std::vector<FaultCell>& cells, int seeds) {
   return out;
 }
 
-/// Splices `section_json` into `path` as the top-level `key` via the shared
-/// report-merge helper, reporting failures on stderr.
-bool merge_into(const std::string& path, const std::string& key_name,
-                const std::string& section_json) {
-  std::string error;
-  if (!merge_report_section(path, key_name, section_json, &error)) {
-    std::fprintf(stderr, "%s\n", error.c_str());
+/// Splices `section_json` into the JSON report at `path` as the top-level
+/// member `key`: replaces an existing object of that key (brace counting
+/// from its opening '{') or inserts it before the file's final '}'. A
+/// missing file is created as `{ "<key>": <section> }`. This is how the
+/// runtime and fault sections join the BENCH_perf.json that bench_report
+/// writes. The section must itself be a JSON object. Returns false with
+/// `error` set on I/O failure or when the existing file's brace structure
+/// cannot be matched.
+bool merge_report_section(const std::string& path, const std::string& key,
+                          const std::string& section_json,
+                          std::string& error) {
+  const std::string quoted = "\"" + key + "\"";
+  const std::string entry = quoted + ": " + section_json;
+
+  std::string text;
+  {
+    std::ifstream in(path);
+    if (in) {
+      std::ostringstream ss;
+      ss << in.rdbuf();
+      text = ss.str();
+    }
+  }
+  if (text.empty()) {
+    text = "{\n  " + entry + "\n}\n";
+  } else {
+    const std::size_t at = text.find(quoted);
+    if (at != std::string::npos) {
+      const std::size_t open = text.find('{', at);
+      if (open == std::string::npos) {
+        error = path + ": key " + quoted + " is not an object";
+        return false;
+      }
+      int depth = 0;
+      std::size_t end = open;
+      for (; end < text.size(); ++end) {
+        if (text[end] == '{') ++depth;
+        if (text[end] == '}' && --depth == 0) break;
+      }
+      if (depth != 0) {
+        error = path + ": unbalanced braces under " + quoted;
+        return false;
+      }
+      text.replace(at, end + 1 - at, entry);
+    } else {
+      const std::size_t close = text.rfind('}');
+      if (close == std::string::npos) {
+        error = path + ": no closing brace";
+        return false;
+      }
+      std::size_t tail = close;
+      while (tail > 0 && (text[tail - 1] == '\n' || text[tail - 1] == ' ')) {
+        --tail;
+      }
+      text.replace(tail, close - tail, ",\n  " + entry + "\n");
+    }
+  }
+
+  std::ofstream out(path);
+  if (!out) {
+    error = "cannot write " + path;
     return false;
   }
+  out << text;
   return true;
 }
 
@@ -361,8 +415,12 @@ int main(int argc, char** argv) {
 
   const std::string merge = flag_str(args, "merge").value_or("");
   if (!merge.empty()) {
-    if (!merge_into(merge, "runtime", json)) return 1;
-    if (!merge_into(merge, "fault", fault_json)) return 1;
+    std::string error;
+    if (!merge_report_section(merge, "runtime", json, error) ||
+        !merge_report_section(merge, "fault", fault_json, error)) {
+      std::fprintf(stderr, "%s\n", error.c_str());
+      return 1;
+    }
     std::printf("merged runtime + fault sections into %s\n", merge.c_str());
   }
 

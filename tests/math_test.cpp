@@ -134,31 +134,6 @@ TEST(Rational, MinMaxHelpers) {
   EXPECT_EQ(rmax(Rational(1, 3), Rational(1, 2)), Rational(1, 2));
 }
 
-TEST(RunningStats, MeanAndVariance) {
-  RunningStats s;
-  for (const double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(x);
-  EXPECT_EQ(s.count(), 8u);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_NEAR(s.variance(), 4.571428571, 1e-9);
-  EXPECT_DOUBLE_EQ(s.min(), 2.0);
-  EXPECT_DOUBLE_EQ(s.max(), 9.0);
-}
-
-TEST(RunningStats, MergeMatchesSequential) {
-  RunningStats all;
-  RunningStats a;
-  RunningStats b;
-  for (int i = 0; i < 100; ++i) {
-    const double x = 0.37 * i - 3.0;
-    all.add(x);
-    (i % 2 == 0 ? a : b).add(x);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-12);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-9);
-}
-
 TEST(WilsonInterval, BracketsTheProportion) {
   const auto iv = wilson_interval(80, 100);
   EXPECT_LT(iv.lo, 0.8);

@@ -193,8 +193,9 @@ TEST(WakePipe, NoNotifyIsLostUnderConcurrentDrains) {
 
 // ------------------------------------------------------------ helpers ----
 
-/// A valid request line whose canonical hash is unique per `g` (same
-/// mixed-radix scheme as tools/reconf_loadgen).
+/// A valid request line whose canonical hash is unique per `g` below
+/// 36000: `g` is read in mixed radix as the first task's C (600 values)
+/// and area (60 values).
 std::string request_line(std::uint64_t g, const std::string& id) {
   const unsigned c = static_cast<unsigned>(1 + g % 600);
   const unsigned a = static_cast<unsigned>(1 + (g / 600) % 60);
@@ -519,6 +520,77 @@ TEST(NetServer, StatsRequestAnsweredInStreamOrder) {
   EXPECT_NE(got[1].find("reconf_svc_requests_total"), std::string::npos)
       << got[1];
   EXPECT_NE(got[2].find("\"id\":\"later\""), std::string::npos);
+}
+
+TEST(NetServer, StatsRequestsUnderPipelinedMultiConnectionLoad) {
+  // Stats lines interleaved with verdicts while every connection has
+  // hundreds of requests in flight. The keys are private to each
+  // connection and the cache holds them all, so each connection's answers
+  // match a sequential replay of its own lines.
+  net::ServerConfig config = test_config(4);
+  config.cache_capacity = 65536;
+  net::AsyncServer server(config);
+  std::string error;
+  ASSERT_TRUE(server.start(&error)) << error;
+
+  constexpr unsigned kConns = 4;
+  constexpr std::uint64_t kPerConn = 2000;
+  constexpr std::uint64_t kStatsEvery = 100;
+  std::vector<std::vector<std::string>> sent(kConns);
+  std::vector<std::vector<std::string>> replies(kConns);
+  for (unsigned c = 0; c < kConns; ++c) {
+    for (std::uint64_t i = 0; i < kPerConn; ++i) {
+      const std::string id = "c" + std::to_string(c) + "-" + std::to_string(i);
+      if (i % kStatsEvery == kStatsEvery - 1) {
+        sent[c].push_back("{\"id\":\"" + id + "\",\"stats\":true}");
+      } else {
+        // Every fourth request repeats a key sent 50 lines earlier, so
+        // hits and misses both flow while stats requests are answered.
+        const std::uint64_t k = (i % 4 == 3 && i >= 50) ? i - 50 : i;
+        sent[c].push_back(request_line(c * kPerConn + k, id));
+      }
+    }
+  }
+  {
+    std::vector<std::thread> clients;
+    for (unsigned c = 0; c < kConns; ++c) {
+      clients.emplace_back([&, c] {
+        const int fd = must_connect(server.port());
+        std::thread writer([&, fd] {
+          std::string wire;
+          for (const std::string& line : sent[c]) wire += line + "\n";
+          send_all(fd, wire);
+          ::shutdown(fd, SHUT_WR);
+        });
+        replies[c] = read_lines(fd, kPerConn);
+        writer.join();
+        ::close(fd);
+      });
+    }
+    for (std::thread& t : clients) t.join();
+  }
+  server.stop();
+
+  svc::ShardCache reference(config.cache_capacity);
+  const analysis::AnalysisEngine engine(config.options.request);
+  for (unsigned c = 0; c < kConns; ++c) {
+    ASSERT_EQ(replies[c].size(), kPerConn) << "connection " << c;
+    for (std::uint64_t i = 0; i < kPerConn; ++i) {
+      const std::string& got = replies[c][i];
+      if (i % kStatsEvery == kStatsEvery - 1) {
+        const std::string id =
+            "\"id\":\"c" + std::to_string(c) + "-" + std::to_string(i) + "\"";
+        EXPECT_NE(got.find(id), std::string::npos)
+            << "conn " << c << " response " << i << " out of order: " << got;
+        EXPECT_NE(got.find("\"stats\":"), std::string::npos) << got;
+      } else {
+        EXPECT_EQ(normalize_timing(got),
+                  normalize_timing(replay_line(sent[c][i], config.options,
+                                               engine, &reference)))
+            << "conn " << c << " line " << i;
+      }
+    }
+  }
 }
 
 TEST(NetServer, ShedModeAnswersEveryRequest) {

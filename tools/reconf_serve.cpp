@@ -24,8 +24,8 @@
 //                       binds an ephemeral port (printed on stderr as
 //                       "listening on HOST:PORT ...")
 //   --port-file=PATH    after binding, write the actual port to PATH — how
-//                       scripts pair --listen=127.0.0.1:0 with a
-//                       reconf_loadgen --port=$(cat PATH)
+//                       a client that started the server with
+//                       --listen=127.0.0.1:0 (perfbench does) finds the port
 //   --shards=N          shard workers, each owning one cache partition
 //                       (default 0 = cores)
 //   --io-threads=N      event-loop threads framing/parsing connections
